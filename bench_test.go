@@ -425,6 +425,40 @@ func BenchmarkAnalyzeRegionLegacy(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeRegionPaperChunk measures one chunk of the paper's
+// analysis as the texture filter runs it: a 48×48×6×6 chunk, ROI 16×16×3×3,
+// G=32, all 40 4D directions, full matrices with zero-skip, the paper's four
+// features, 2 intra-chunk workers. It covers the whole parallel path —
+// row-start accumulation, slides, the merging flush and the feature pass —
+// so it moves with every part of the blocked kernel, not just the slide.
+func BenchmarkAnalyzeRegionPaperChunk(b *testing.B) {
+	grid := phantomGrid(b, [4]int{48, 48, 6, 6}, 32)
+	cfg := core.DefaultConfig()
+	cfg.Workers = 2
+	if err := cfg.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	outDims, err := volume.OutputDims(grid.Dims, cfg.ROI)
+	if err != nil {
+		b.Fatal(err)
+	}
+	region := &volume.Region{Box: volume.BoxAt([4]int{}, grid.Dims), Data: grid.Data}
+	origins := volume.BoxAt([4]int{}, outDims)
+	out := make([]*volume.FloatRegion, len(cfg.Features))
+	for i := range out {
+		out[i] = volume.NewFloatRegion(origins)
+	}
+	pairs := glcm.PairCount(cfg.ROI, cfg.DirectionSet()) * uint64(origins.NumVoxels())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.AnalyzeRegionInto(region, origins, &cfg, nil, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPairs(b, pairs)
+}
+
 // BenchmarkAnalyzeParallel measures end-to-end in-memory analysis through
 // the local pipeline with all CPUs.
 func BenchmarkAnalyzeParallel(b *testing.B) {

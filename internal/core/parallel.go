@@ -15,11 +15,13 @@ import (
 // x): rows are split into contiguous blocks, one block per worker, so the
 // per-worker results concatenate back into global raster order. Each worker
 // owns its own scratch matrix, sparse builder and feature calculator, so the
-// hot loop performs no allocation and shares no mutable state; within a row
-// the worker advances the matrix with the sliding-window kernels
-// (glcm.SlideFull / glcm.SlideSparseScratch) instead of re-rastering every
-// ROI, falling back to a full recompute when the window geometry admits no
-// reuse.
+// hot loop performs no allocation and shares no mutable state. With the
+// blocked kernel (the default), only the first ROI of each worker's (z,t)
+// plane is accumulated from scratch: the first ROI of every further row is
+// stepped one row along y from the previous row's, and the ROIs along a row
+// are slid along x. The legacy fallback advances the matrix within a row with the sliding-window kernels
+// (glcm.SlideFull / glcm.SlideSparseScratch), recomputing at every row
+// start or when the window geometry admits no reuse.
 //
 // Workers == 1 never enters this file's machinery: it runs the untouched
 // sequential kernel (ScanRegion), which remains the verification oracle.
@@ -181,16 +183,23 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 			p[0] = s.lo[0] + i
 			rel := [4]int{p[0] - s.regionLo[0], p[1] - s.regionLo[1], p[2] - s.regionLo[2], p[3] - s.regionLo[3]}
 			if s.blocked != nil {
-				// Blocked kernel: one batched pass (or slab update) over all
-				// directions, then a merging snapshot into the visitor's
+				// Blocked kernel: one batched pass over all directions at the
+				// first ROI of the worker's (z,t) plane, a row step from the
+				// previous row's first ROI at every other row start, an x
+				// slide elsewhere; then a merging snapshot into the visitor's
 				// matrix. The planner guarantees strides[0] == 1, so the flat
-				// origin of the previous window is base-1.
+				// origin of the previous window is base-1, and that of the
+				// previous row's first window base-strides[1].
 				base := rel[0] + rel[1]*s.strides[1] + rel[2]*s.strides[2] + rel[3]*s.strides[3]
-				if i == 0 {
+				switch {
+				case i > 0:
+					s.blocked.Slide(s.data, base-1)
+				case r > r0 && r%s.sy != 0:
+					s.blocked.StepRow(s.data, base-s.strides[1])
+				default:
 					s.blocked.Reset()
 					s.blocked.Accumulate(s.data, base)
-				} else {
-					s.blocked.Slide(s.data, base-1)
+					s.blocked.Mark()
 				}
 				if s.sparse != nil {
 					s.blocked.SnapshotSparse(s.sparse)

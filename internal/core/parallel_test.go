@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,7 +32,7 @@ func randConfig(rng *rand.Rand, dims [4]int) Config {
 		NDim:           1 + rng.Intn(4),
 		Distance:       1,
 		Representation: Representation(rng.Intn(3)),
-		Features:       features.PaperSet(),
+		Features:       randFeatures(rng),
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Directions = glcm.AxisDirections(4, 1)
@@ -39,10 +40,36 @@ func randConfig(rng *rand.Rand, dims [4]int) Config {
 	return cfg
 }
 
+// randFeatures draws a feature set that selects a different part of the
+// calculator's work: everything, the paper's four (no entropy sum), the
+// entropy sum alone, the HXY pass (f12/f13) and the Q eigenproblem (f14).
+func randFeatures(rng *rand.Rand) []features.Feature {
+	sets := [][]features.Feature{
+		features.All(),
+		features.PaperSet(),
+		{features.Entropy},
+		{features.InfoCorrelation1, features.InfoCorrelation2},
+		{features.MaxCorrelationCoeff},
+	}
+	return sets[rng.Intn(len(sets))]
+}
+
+// statsArg returns stats for odd runs and nil for even ones. The property
+// tests alternate it over their worker counts, so every draw runs both with
+// and without stats collection, which must not change the path taken or its
+// results.
+func statsArg(stats *Stats, run int) *Stats {
+	if run%2 == 1 {
+		return stats
+	}
+	return nil
+}
+
 // TestParallelMatchesSequential is the property test of the parallel path:
-// for randomized dims, ROI, gray levels, direction set and representation,
-// every worker count must produce bit-identical feature values and
-// identical Stats to the sequential reference (Workers = 1).
+// for randomized dims, ROI, gray levels, direction set, representation and
+// feature set, every worker count must produce bit-identical feature values
+// and identical Stats to the sequential reference (Workers = 1), with and
+// without stats collection.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 25; iter++ {
@@ -76,21 +103,22 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("iter %d: stats pairs %d inconsistent with %d ROIs", iter, wantPairs, refStats.ROIs)
 		}
 
-		for _, workers := range []int{2, 3, 4, 8} {
+		for run, workers := range []int{2, 3, 4, 8} {
 			pcfg := cfg
 			pcfg.Workers = workers
 			var stats Stats
-			got, err := AnalyzeRegion(region, origins, &pcfg, &stats)
+			st := statsArg(&stats, run)
+			got, err := AnalyzeRegion(region, origins, &pcfg, st)
 			if err != nil {
 				t.Fatalf("iter %d workers %d: %v", iter, workers, err)
 			}
-			if stats != refStats {
+			if st != nil && stats != refStats {
 				t.Fatalf("iter %d workers %d: stats %+v, want %+v", iter, workers, stats, refStats)
 			}
 			for i := range want {
 				if !reflect.DeepEqual(got[i].Data, want[i].Data) {
-					t.Fatalf("iter %d workers %d: feature %v diverged from sequential reference",
-						iter, workers, cfg.Features[i])
+					t.Fatalf("iter %d workers %d stats %v: feature %v (%v) diverged from sequential reference",
+						iter, workers, st != nil, cfg.Features[i], cfg.Representation)
 				}
 			}
 		}
@@ -98,7 +126,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestBatchesMatchSequential checks that the batch builders produce
-// value-identical matrices (and Stats) at every worker count.
+// value-identical matrices (and Stats) at every worker count, with and
+// without stats collection, and that features computed from the batch
+// matrices — as the split implementation's HPC filter does — match the
+// sequential AnalyzeRegion for the drawn feature set.
 func TestBatchesMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 15; iter++ {
@@ -128,20 +159,25 @@ func TestBatchesMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: sparse reference: %v", iter, err)
 		}
-		wantF, err := FullBatch(region, origins, &ref, nil)
+		var refFullStats Stats
+		wantF, err := FullBatch(region, origins, &ref, &refFullStats)
 		if err != nil {
 			t.Fatalf("iter %d: full reference: %v", iter, err)
 		}
+		wantVals, err := AnalyzeRegion(region, origins, &ref, nil)
+		if err != nil {
+			t.Fatalf("iter %d: analysis reference: %v", iter, err)
+		}
 
-		for _, workers := range []int{2, 4, 7} {
+		for run, workers := range []int{2, 4, 7} {
 			pcfg := cfg
 			pcfg.Workers = workers
-			var stats Stats
-			gotS, err := SparseBatch(region, origins, &pcfg, &stats)
+			var stats, fullStats Stats
+			gotS, err := SparseBatch(region, origins, &pcfg, statsArg(&stats, run))
 			if err != nil {
 				t.Fatalf("iter %d workers %d: sparse: %v", iter, workers, err)
 			}
-			if stats != refStats {
+			if run%2 == 1 && stats != refStats {
 				t.Fatalf("iter %d workers %d: sparse stats %+v, want %+v", iter, workers, stats, refStats)
 			}
 			if len(gotS) != len(wantS) {
@@ -155,9 +191,12 @@ func TestBatchesMatchSequential(t *testing.T) {
 					t.Fatalf("iter %d workers %d: sparse matrix %d diverged", iter, workers, k)
 				}
 			}
-			gotF, err := FullBatch(region, origins, &pcfg, nil)
+			gotF, err := FullBatch(region, origins, &pcfg, statsArg(&fullStats, run))
 			if err != nil {
 				t.Fatalf("iter %d workers %d: full: %v", iter, workers, err)
+			}
+			if run%2 == 1 && fullStats != refFullStats {
+				t.Fatalf("iter %d workers %d: full stats %+v, want %+v", iter, workers, fullStats, refFullStats)
 			}
 			if len(gotF) != len(wantF) {
 				t.Fatalf("iter %d workers %d: %d full matrices, want %d", iter, workers, len(gotF), len(wantF))
@@ -166,6 +205,87 @@ func TestBatchesMatchSequential(t *testing.T) {
 				if gotF[k].Total != wantF[k].Total || !reflect.DeepEqual(gotF[k].Counts, wantF[k].Counts) {
 					t.Fatalf("iter %d workers %d: full matrix %d diverged", iter, workers, k)
 				}
+			}
+			calc := features.NewCalculator(cfg.GrayLevels, cfg.Features)
+			for k := range gotF {
+				var sparse *glcm.Sparse
+				if cfg.Representation == SparseMatrix {
+					sparse = gotS[k]
+				}
+				vals, err := calcValues(calc, gotF[k], sparse, cfg.Representation == FullMatrix)
+				if err != nil {
+					t.Fatalf("iter %d workers %d: matrix %d: %v", iter, workers, k, err)
+				}
+				for i, v := range vals {
+					if w := wantVals[i].Data[k]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("iter %d workers %d: feature %v of matrix %d is %v, sequential analysis %v",
+							iter, workers, cfg.Features[i], k, v, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowBlocksCrossPlanes pins where the parallel scan may step rows: 13
+// ROI rows per (z,t) plane over 2 planes split among 3 workers gives blocks
+// of rows 0–8, 9–17 and 18–25, so the second block starts mid-plane (a row
+// step would have no mark) and crosses into the next plane (the row step
+// must not carry over), and the third starts mid-plane too. Every
+// representation must match the sequential reference bit for bit.
+func TestRowBlocksCrossPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dims := [4]int{9, 15, 3, 2}
+	data := make([]uint8, dims[0]*dims[1]*dims[2]*dims[3])
+	for i := range data {
+		data[i] = uint8(rng.Intn(16))
+	}
+	region := &volume.Region{Box: volume.BoxAt([4]int{}, dims), Data: data}
+	for _, rep := range []Representation{FullMatrix, FullMatrixNoSkip, SparseMatrix} {
+		cfg := Config{ROI: [4]int{4, 3, 2, 2}, GrayLevels: 16, NDim: 4, Distance: 1, Representation: rep, Features: features.All()}
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		outDims, err := volume.OutputDims(dims, cfg.ROI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outDims[1] != 13 || outDims[2]*outDims[3] != 2 {
+			t.Fatalf("origin box %v: want 13 rows per plane over 2 planes", outDims)
+		}
+		origins := volume.BoxAt([4]int{}, outDims)
+		ref := cfg
+		ref.Workers = 1
+		var refStats Stats
+		want, err := AnalyzeRegion(region, origins, &ref, &refStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = 3
+		var stats Stats
+		got, err := AnalyzeRegion(region, origins, &cfg, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != refStats {
+			t.Fatalf("%v: stats %+v, want %+v", rep, stats, refStats)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i].Data, want[i].Data) {
+				t.Fatalf("%v: feature %v diverged from sequential reference", rep, cfg.Features[i])
+			}
+		}
+		wantF, err := FullBatch(region, origins, &ref, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotF, err := FullBatch(region, origins, &cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range wantF {
+			if !reflect.DeepEqual(gotF[k].Counts, wantF[k].Counts) {
+				t.Fatalf("%v: full batch matrix %d diverged", rep, k)
 			}
 		}
 	}

@@ -277,6 +277,12 @@ type BlackoutTransport struct {
 	// StartAfter is how many requests are answered before the blackout
 	// opens.
 	StartAfter int64
+	// Ready, when non-nil, also holds the blackout closed until it reports
+	// true, so a test can open the window at a point of pipeline progress
+	// (say, after N assembled chunks) rather than at a request count that
+	// read scheduling may place anywhere. It must stay true once true, and
+	// must be set before the transport is in use.
+	Ready func() bool
 	// FailN is how many requests die before the backend recovers.
 	FailN int64
 
@@ -286,7 +292,7 @@ type BlackoutTransport struct {
 
 // RoundTrip implements http.RoundTripper.
 func (b *BlackoutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if b.oks.Load() >= b.StartAfter && b.fails.Load() < b.FailN {
+	if b.oks.Load() >= b.StartAfter && (b.Ready == nil || b.Ready()) && b.fails.Load() < b.FailN {
 		n := b.fails.Add(1)
 		if n <= b.FailN {
 			return nil, fmt.Errorf("request during blackout (%d/%d): %w", n, b.FailN, ErrInjected)

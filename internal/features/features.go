@@ -87,9 +87,14 @@ func PaperSet() []Feature {
 }
 
 // need describes which intermediate quantities a feature set requires, so
-// that the per-cell work scales with the request.
+// that the per-cell work scales with the request. Each per-cell sum has its
+// own flag: the entropy term costs a logarithm per cell, which the paper's
+// four features never read.
 type need struct {
-	basic    bool // ASM, contrast, IDM, entropy, Σij·p
+	asm      bool // Σp² (f1)
+	idm      bool // Σp/(1+(i−j)²) (f5)
+	entropy  bool // −Σp·log p (f9, f12, f13)
+	sumIJ    bool // Σij·p (f3)
 	marginal bool // px, py (correlation, variance, f12–f14)
 	sumDiff  bool // p_{x+y}, p_{x−y} histograms (f2, f6–f8, f10, f11)
 	hxy      bool // second pass for HXY1/HXY2 (f12, f13)
@@ -100,15 +105,21 @@ func analyze(req []Feature) need {
 	var n need
 	for _, f := range req {
 		switch f {
-		case ASM, IDM, Entropy:
-			n.basic = true
+		case ASM:
+			n.asm = true
+		case IDM:
+			n.idm = true
+		case Entropy:
+			n.entropy = true
 		case Contrast, SumAverage, SumVariance, SumEntropy, DifferenceVariance, DifferenceEntropy:
 			n.sumDiff = true
-		case Correlation, Variance:
-			n.basic = true
+		case Correlation:
+			n.sumIJ = true
+			n.marginal = true
+		case Variance:
 			n.marginal = true
 		case InfoCorrelation1, InfoCorrelation2:
-			n.basic = true
+			n.entropy = true
 			n.marginal = true
 			n.hxy = true
 		case MaxCorrelationCoeff:
@@ -167,11 +178,17 @@ func (a *acc) reset() {
 // entry stands for both mirror cells (every term below is symmetric in i, j).
 func (a *acc) cell(i, j int, p, weight float64, n need) {
 	wp := weight * p
-	if n.basic {
+	if n.asm {
 		a.asm += wp * p
+	}
+	if n.idm {
 		d := i - j
 		a.idm += wp / float64(1+d*d)
+	}
+	if n.entropy {
 		a.entropy -= wp * safeLog(p)
+	}
+	if n.sumIJ {
 		a.sumIJ += wp * float64(i) * float64(j)
 	}
 	if a.px != nil {

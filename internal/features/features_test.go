@@ -220,6 +220,39 @@ func TestPathsAgreeProperty(t *testing.T) {
 	}
 }
 
+// Property: every feature computed alone — with the calculator's
+// per-request pruning of the per-cell sums — equals its value in the full
+// set bit for bit, on all three paths. The parallel scan's bit-identity to
+// the sequential reference holds for any feature set only because of this.
+func TestPruningBitIdenticalProperty(t *testing.T) {
+	f := func(seed int64, pairsRaw uint16, gRaw uint8) bool {
+		g := int(gRaw%30) + 2
+		m := randomMatrix(rand.New(rand.NewSource(seed)), g, int(pairsRaw%500)+1)
+		paths := []func([]Feature) ([]float64, error){
+			func(req []Feature) ([]float64, error) { return FromFull(m, req, false) },
+			func(req []Feature) ([]float64, error) { return FromFull(m, req, true) },
+			func(req []Feature) ([]float64, error) { return FromSparse(m.Sparse(), req) },
+		}
+		for pi, path := range paths {
+			all, err := path(All())
+			if err != nil {
+				return false
+			}
+			for i, want := range all {
+				alone, err := path([]Feature{Feature(i)})
+				if err != nil || math.Float64bits(alone[0]) != math.Float64bits(want) {
+					t.Logf("path %d: %v alone = %v, in the full set %v", pi, Feature(i), alone, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: feature bounds. ASM ∈ (0,1], entropy ≥ 0, IDM ∈ (0,1],
 // correlation ∈ [−1,1], f13 ∈ [0,1], MCC ∈ [0,1] (up to numerical slack).
 func TestFeatureBoundsProperty(t *testing.T) {

@@ -258,7 +258,7 @@ func TestHICIncompleteErrors(t *testing.T) {
 
 func TestCollectorResults(t *testing.T) {
 	outDims := [4]int{3, 3, 1, 1}
-	res := NewResults(outDims)
+	res := NewResults(outDims, []features.Feature{features.Contrast})
 	err := runSink(t, func(ctx filter.Context) error {
 		vals := make([]float64, 9)
 		for i := range vals {
@@ -281,6 +281,33 @@ func TestCollectorResults(t *testing.T) {
 	}
 	if res.Grid(features.ASM) != nil {
 		t.Error("absent grid not nil")
+	}
+	if n := res.Portions(features.Contrast); n != 1 {
+		t.Errorf("portions = %d, want 1", n)
+	}
+}
+
+// TestCollectorFullyDegradedFeatureHasGrid pins the up-front grid
+// allocation: when every chunk of a run is degraded, no portion ever
+// arrives, yet the run is complete and each requested feature still yields
+// its grid.
+func TestCollectorFullyDegradedFeatureHasGrid(t *testing.T) {
+	outDims := [4]int{3, 3, 1, 1}
+	feats := []features.Feature{features.ASM, features.IDM}
+	res := NewResults(outDims, feats)
+	err := runSink(t, func(ctx filter.Context) error {
+		return ctx.Send(PortOut, &DegradedChunkMsg{Chunk: 0, Origins: volume.BoxAt([4]int{}, outDims), Slices: []int{0}})
+	}, NewCollector(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Complete(feats); err != nil {
+		t.Fatalf("fully degraded run not complete: %v", err)
+	}
+	for _, f := range feats {
+		if g := res.Grid(f); g == nil || g.Dims != outDims {
+			t.Errorf("%v: grid %v, want an allocated %v grid", f, g, outDims)
+		}
 	}
 }
 

@@ -447,10 +447,11 @@ func writeJPEG(path string, img image.Image, quality int) error {
 // Results accumulates assembled feature grids in memory; it is the shared
 // sink behind the Collector filter and the library's return value.
 type Results struct {
-	mu     sync.Mutex
-	dims   [4]int
-	grids  map[features.Feature]*volume.FloatGrid
-	filled map[features.Feature]int
+	mu       sync.Mutex
+	dims     [4]int
+	grids    map[features.Feature]*volume.FloatGrid
+	filled   map[features.Feature]int
+	portions map[features.Feature]int
 	// seen dedupes exact portion boxes per feature: under copy failover the
 	// runtime redelivers in-flight buffers of crashed copies, so a sink may
 	// legitimately see the same portion twice. A *different* overlapping box
@@ -471,17 +472,27 @@ type Results struct {
 	degVoxels int
 }
 
-// NewResults returns an empty result sink for the given output dimensions.
-func NewResults(outDims [4]int) *Results {
-	return &Results{
+// NewResults returns an empty result sink for the given output dimensions
+// and requested features. Every requested feature's grid exists from the
+// start, so a feature whose every chunk was degraded still yields its
+// (empty) grid.
+func NewResults(outDims [4]int, feats []features.Feature) *Results {
+	r := &Results{
 		dims:      outDims,
 		grids:     map[features.Feature]*volume.FloatGrid{},
 		filled:    map[features.Feature]int{},
+		portions:  map[features.Feature]int{},
 		seen:      map[features.Feature]map[volume.Box]bool{},
 		completed: map[features.Feature]bool{},
 		degChunks: map[int]volume.Box{},
 		degSlices: map[int]bool{},
 	}
+	for _, f := range feats {
+		if r.grids[f] == nil {
+			r.grids[f] = volume.NewFloatGrid(outDims)
+		}
+	}
+	return r
 }
 
 // SetJournal attaches a progress journal: from now on every applied portion
@@ -543,6 +554,7 @@ func (r *Results) applyLocked(ft features.Feature, box volume.Box, values []floa
 	fr := &volume.FloatRegion{Box: box, Data: values}
 	fr.StoreInto(g)
 	r.filled[ft] += box.NumVoxels()
+	r.portions[ft]++
 	if r.filled[ft] > volume.NumVoxels(r.dims) {
 		return fmt.Errorf("filters: feature %v overfilled", ft)
 	}
@@ -611,6 +623,15 @@ func (r *Results) Grid(f features.Feature) *volume.FloatGrid {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.grids[f]
+}
+
+// Portions reports how many distinct portions of feature f have been
+// applied. The texture stage emits one portion per chunk and feature, so
+// this counts the chunks whose f values are assembled.
+func (r *Results) Portions(f features.Feature) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.portions[f]
 }
 
 // Degraded reports what SkipDegraded dropped: the sorted lost slice ids, the

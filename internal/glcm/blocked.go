@@ -15,9 +15,10 @@ import (
 //     private scratch per raster pass over the ROI. Each direction's
 //     validity along x/y/z/t is a contiguous interval precomputed at plan
 //     time, so the accumulation loop is a branch-free interval sweep per
-//     direction over an L1-resident ROI, and the incremental slide is
-//     compiled into a flat pair program (precomputed offset arrays) with no
-//     per-row dispatch at all.
+//     direction over an L1-resident ROI, and the incremental moves — the
+//     slide along x, and the step from one raster row's first ROI to the
+//     next's along y — are compiled into flat pair programs (precomputed
+//     offset arrays) with no per-row dispatch at all.
 //
 //   - Privatized asymmetric scratch: pairs are accumulated into a private
 //     dense histogram with a single write per pair — scratch[a·G+c] counts
@@ -75,18 +76,30 @@ type Blocked struct {
 	block   int // x-tile width for accumulation runs; 0 = whole row
 	plans   []dirPlan
 
-	// The compiled slide program, grouped by anchor voxel: group gi of the
-	// departing slab pairs anchor data[base+subAnchor[gi]] against neighbors
-	// data[base+subNbr[j]] for j in [subStart[gi], subStart[gi+1]), all
-	// offsets relative to the pre-slide origin (likewise add* for the
-	// entering slab). A slab voxel pairs with every direction valid in its
-	// row, so grouping lets one anchor load and one LUT lookup serve the
-	// whole direction batch. Built once per Plan, replayed as flat loops —
-	// the slide touches only tiny per-row slabs, so loop-nest and dispatch
-	// overhead would otherwise dominate it.
-	subAnchor, subStart, subNbr []int32
-	addAnchor, addStart, addNbr []int32
-	pk                          []int64 // plan-time pair gathering scratch
+	// The compiled programs, replayed as flat loops: the x slide removes
+	// the departing x-slab's pairs and adds the entering one's; the row
+	// step does the same for the y-slab one row down. The slabs are tiny
+	// next to the ROI, so loop-nest and dispatch overhead would otherwise
+	// dominate them. Built once per Plan.
+	slideSub, slideAdd pairProgram
+	stepSub, stepAdd   pairProgram
+	pk                 []int64 // plan-time pair gathering scratch
+
+	// The marked scratch (2 banks, like counts): the pairs of the ROI at
+	// the start of the current raster row, which StepRow advances to the
+	// next row's start while the working scratch slides along x.
+	mark      []uint32
+	markPairs uint64
+}
+
+// pairProgram is a compiled pair list grouped by anchor voxel: group gi
+// pairs anchor data[base+anchor[gi]] against neighbors data[base+nbr[j]]
+// for j in [start[gi], start[gi+1]), all offsets relative to the origin the
+// program is replayed at. A slab voxel pairs with every direction valid in
+// its row, so grouping lets one anchor load and one LUT lookup serve the
+// whole direction batch.
+type pairProgram struct {
+	anchor, start, nbr []int32
 }
 
 // NewBlocked returns an unplanned blocked kernel for g gray levels.
@@ -94,7 +107,7 @@ func NewBlocked(g int) *Blocked {
 	if g < 1 || g > 256 {
 		panic("glcm: gray levels must be in [1, 256]")
 	}
-	k := &Blocked{g: g, counts: make([]uint32, 2*g*g), mul: make([]uint16, 256)}
+	k := &Blocked{g: g, counts: make([]uint32, 2*g*g), mark: make([]uint32, 2*g*g), mul: make([]uint16, 256)}
 	for v := range k.mul {
 		k.mul[v] = uint16(v * g)
 	}
@@ -109,12 +122,13 @@ func (k *Blocked) Pairs() uint64 { return k.pairs }
 
 // Plan prepares the kernel for scans of ROIs with the given shape on a grid
 // with the given strides, accumulating the given directions, sliding by
-// stride voxels along x. block bounds the x extent of each accumulation run
-// (0 disables tiling); it only matters for ROIs whose rows outgrow L1.
+// stride voxels along x and stepping by one row along y. block bounds the x
+// extent of each accumulation run (0 disables tiling); it only matters for
+// ROIs whose rows outgrow L1.
 //
 // Plan reports whether the geometry is supported: the grid must be laid out
 // x-fastest (strides[0] == 1, which every volume/chunk view in this system
-// is), the flat voxel offsets must fit the program's int32 entries, and the
+// is), the flat voxel offsets must fit the programs' int32 entries, and the
 // direction set must be no larger than the canonical families (oversized
 // sets gain nothing from batching). When it returns false the caller falls
 // back to the legacy kernels, which accept anything.
@@ -127,68 +141,112 @@ func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block in
 	k.block = block
 	k.plans = k.plans[:0]
 	sy, sz, st := strides[1], strides[2], strides[3]
-	sub, add := k.pk[:0], []int64(nil)
 	for _, d := range dirs {
 		lo, hi, ok := pairBounds(shape, d)
 		if !ok {
 			continue // no valid pairs; direction dropped from the plan
 		}
 		off := d[0]*strides[0] + d[1]*strides[1] + d[2]*strides[2] + d[3]*strides[3]
-		// Every program entry is a flat offset within one ROI extent; the
-		// extremes bound them all.
-		if maxFlat := (hi[3]-1)*st + (hi[2]-1)*sz + (hi[1]-1)*sy + hi[0] + stride; maxFlat+off > math.MaxInt32 || maxFlat > math.MaxInt32 {
+		// Every program entry is a flat offset within one ROI extent grown
+		// by the slide stride along x and one row along y; the extremes
+		// bound them all.
+		if maxFlat := (hi[3]-1)*st + (hi[2]-1)*sz + hi[1]*sy + hi[0] + stride; maxFlat+off > math.MaxInt32 || maxFlat > math.MaxInt32 {
 			return false
 		}
 		k.plans = append(k.plans, dirPlan{off: off, lo: lo, hi: hi})
-		subLo, subHi, addLo, addHi := slabX(lo[0], hi[0], stride)
+	}
+	// The x slide's slabs are stride columns of each direction's anchor
+	// box, the row step's one row; slabX does the arithmetic on either axis.
+	for _, pr := range []struct {
+		p        *pairProgram
+		axis     int
+		stride   int
+		entering bool
+	}{
+		{&k.slideSub, 0, stride, false},
+		{&k.slideAdd, 0, stride, true},
+		{&k.stepSub, 1, 1, false},
+		{&k.stepAdd, 1, 1, true},
+	} {
+		k.pk = k.gather(k.pk[:0], pr.axis, pr.stride, pr.entering)
+		if len(k.pk) > math.MaxInt32 {
+			return false
+		}
+		pr.p.compile(k.pk)
+	}
+	return true
+}
+
+// gather appends every planned direction's (anchor, neighbor) offset pairs,
+// packed anchor<<32|neighbor, whose anchor lies in the direction's
+// departing — or, with entering, its entering — slab for a move of stride
+// voxels along axis (0 = x, 1 = y).
+func (k *Blocked) gather(pk []int64, axis, stride int, entering bool) []int64 {
+	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
+	for _, p := range k.plans {
+		lo, hi := p.lo, p.hi
+		subLo, subHi, addLo, addHi := slabX(lo[axis], hi[axis], stride)
+		if entering {
+			lo[axis], hi[axis] = addLo, addHi
+		} else {
+			lo[axis], hi[axis] = subLo, subHi
+		}
 		for t := lo[3]; t < hi[3]; t++ {
-			rt := t * st
 			for z := lo[2]; z < hi[2]; z++ {
-				rz := rt + z*sz
+				rz := t*st + z*sz
 				for y := lo[1]; y < hi[1]; y++ {
 					row := rz + y*sy
-					for x := subLo; x < subHi; x++ {
-						sub = append(sub, int64(row+x)<<32|int64(row+x+off))
-					}
-					for x := addLo; x < addHi; x++ {
-						add = append(add, int64(row+x)<<32|int64(row+x+off))
+					for x := lo[0]; x < hi[0]; x++ {
+						pk = append(pk, int64(row+x)<<32|int64(row+x+p.off))
 					}
 				}
 			}
 		}
 	}
-	// Both halves of the program share the gathering scratch: sub occupies
-	// the front, add the back.
-	k.pk = append(sub, add...)
-	if len(k.pk) > math.MaxInt32 {
-		return false
-	}
-	add = k.pk[len(sub):]
-	sub = k.pk[:len(sub)]
-	k.subAnchor, k.subStart, k.subNbr = compilePairs(sub, k.subAnchor, k.subStart, k.subNbr)
-	k.addAnchor, k.addStart, k.addNbr = compilePairs(add, k.addAnchor, k.addStart, k.addNbr)
-	return true
+	return pk
 }
 
-// compilePairs turns gathered (anchor, neighbor) offset pairs — packed
+// compile turns gathered (anchor, neighbor) offset pairs — packed
 // anchor<<32|neighbor, both non-negative — into the grouped program form:
 // sorted unique anchors, a CSR-style start index, and the flat neighbor
-// list. The three slices are rebuilt in place, reusing their capacity.
-func compilePairs(pk []int64, anchor, start, nbr []int32) ([]int32, []int32, []int32) {
+// list. The program is rebuilt in place, reusing its capacity.
+func (p *pairProgram) compile(pk []int64) {
 	slices.Sort(pk)
-	anchor, start, nbr = anchor[:0], start[:0], nbr[:0]
+	p.anchor, p.start, p.nbr = p.anchor[:0], p.start[:0], p.nbr[:0]
 	prev := int32(-1)
-	for _, p := range pk {
-		a := int32(p >> 32)
+	for _, q := range pk {
+		a := int32(q >> 32)
 		if a != prev {
-			anchor = append(anchor, a)
-			start = append(start, int32(len(nbr)))
+			p.anchor = append(p.anchor, a)
+			p.start = append(p.start, int32(len(p.nbr)))
 			prev = a
 		}
-		nbr = append(nbr, int32(uint32(p)))
+		p.nbr = append(p.nbr, int32(uint32(q)))
 	}
-	start = append(start, int32(len(nbr)))
-	return anchor, start, nbr
+	p.start = append(p.start, int32(len(p.nbr)))
+}
+
+// apply adds delta — 1, or ^uint32(0) to remove — to the scratch cell of
+// every pair in the program, replayed at the origin dd[0], alternating the
+// two banks of counts between consecutive pairs. Each group's anchor voxel
+// is loaded and LUT-translated once for its whole direction batch.
+func (p *pairProgram) apply(counts []uint32, g int, mul []uint16, dd []uint8, delta uint32) {
+	gg := g * g
+	c0, c1 := counts[:gg], counts[gg:2*gg]
+	mul = mul[:256]
+	starts, nbrs := p.start, p.nbr
+	for gi, a := range p.anchor {
+		ma := int(mul[dd[a]])
+		grp := nbrs[starts[gi]:starts[gi+1]]
+		for len(grp) >= 2 {
+			c0[ma+int(dd[grp[0]])] += delta
+			c1[ma+int(dd[grp[1]])] += delta
+			grp = grp[2:]
+		}
+		if len(grp) >= 1 {
+			c0[ma+int(dd[grp[0]])] += delta
+		}
+	}
 }
 
 // Reset discards all accumulated pairs. The plan is retained.
@@ -270,46 +328,38 @@ func (k *Blocked) Accumulate(data []uint8, base int) {
 
 // Slide updates the scratch — which must hold the pairs of the ROI at flat
 // offset base — to hold the pairs of the ROI slid by the planned stride
-// along x, by replaying the compiled pair program: one grouped loop removes
-// the departing slab's pairs, one adds the entering slab's, with each
-// group's anchor voxel loaded and LUT-translated once for its whole
-// direction batch. The slabs have equal width, so the pair total is
-// invariant. Exact integer update: the result is bit-identical to Reset +
-// Accumulate at the new origin.
+// along x, by replaying the compiled slide program: the departing slab's
+// pairs are removed and the entering slab's added. The slabs have equal
+// width, so the pair total is invariant. Exact integer update: the result
+// is bit-identical to Reset + Accumulate at the new origin.
 func (k *Blocked) Slide(data []uint8, base int) {
-	gg := k.g * k.g
-	c0, c1 := k.counts[:gg], k.counts[gg:]
-	mul := k.mul[:256]
 	// Rebase once so the hot loops index the program offsets directly.
 	dd := data[base:]
+	k.slideSub.apply(k.counts, k.g, k.mul, dd, ^uint32(0))
+	k.slideAdd.apply(k.counts, k.g, k.mul, dd, 1)
+}
 
-	starts, nbrs := k.subStart, k.subNbr
-	for gi, a := range k.subAnchor {
-		ma := int(mul[dd[a]])
-		grp := nbrs[starts[gi]:starts[gi+1]]
-		for len(grp) >= 2 {
-			c0[ma+int(dd[grp[0]])]--
-			c1[ma+int(dd[grp[1]])]--
-			grp = grp[2:]
-		}
-		if len(grp) >= 1 {
-			c0[ma+int(dd[grp[0]])]--
-		}
-	}
+// Mark records the scratch as the row anchor that StepRow advances from:
+// call it after accumulating the first ROI of a raster row.
+func (k *Blocked) Mark() {
+	copy(k.mark, k.counts)
+	k.markPairs = k.pairs
+}
 
-	starts, nbrs = k.addStart, k.addNbr
-	for gi, a := range k.addAnchor {
-		ma := int(mul[dd[a]])
-		grp := nbrs[starts[gi]:starts[gi+1]]
-		for len(grp) >= 2 {
-			c0[ma+int(dd[grp[0]])]++
-			c1[ma+int(dd[grp[1]])]++
-			grp = grp[2:]
-		}
-		if len(grp) >= 1 {
-			c0[ma+int(dd[grp[0]])]++
-		}
-	}
+// StepRow advances the marked scratch — which must hold the pairs of the
+// ROI at flat offset base — by one row along y, by replaying the compiled
+// row-step program (the departing and entering y-slabs have equal size, so
+// the pair total is invariant), and loads the result as the working
+// scratch, still marked for the next step. The working scratch may have
+// slid anywhere in between. Exact integer update: the result is
+// bit-identical to Reset + Accumulate at base + strides[1], at the cost of
+// two slabs instead of the whole ROI.
+func (k *Blocked) StepRow(data []uint8, base int) {
+	dd := data[base:]
+	k.stepSub.apply(k.mark, k.g, k.mul, dd, ^uint32(0))
+	k.stepAdd.apply(k.mark, k.g, k.mul, dd, 1)
+	copy(k.counts, k.mark)
+	k.pairs = k.markPairs
 }
 
 // SnapshotFull merges the asymmetric scratch into m, replacing its contents

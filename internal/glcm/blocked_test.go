@@ -103,6 +103,72 @@ func TestBlockedMatchesOracleProperty(t *testing.T) {
 	}
 }
 
+// TestBlockedStepRowProperty drives the row step over random geometries —
+// the gray-level counts and direction families of the oracle property test,
+// random ROI shapes including y-extent 1 (where the departing and entering
+// y-slabs are the whole ROI) — down every row of the grid. Between steps the
+// working scratch slides along x, as in a scan, so each step must start
+// from the mark. Every step must leave exactly the counts of Reset +
+// Accumulate at the new row.
+func TestBlockedStepRowProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	gs := []int{8, 16, 32, 256}
+	for iter := 0; iter < 80; iter++ {
+		g := gs[iter%len(gs)]
+		dirs := Directions(2+rng.Intn(3), 1+rng.Intn(2))
+		dims := [4]int{5 + rng.Intn(12), 3 + rng.Intn(8), 1 + rng.Intn(4), 1 + rng.Intn(4)}
+		data := randData(rng, dims, g)
+		shape := [4]int{
+			1 + rng.Intn(dims[0]),
+			1 + rng.Intn(dims[1]),
+			1 + rng.Intn(dims[2]),
+			1 + rng.Intn(dims[3]),
+		}
+		if iter%5 == 0 {
+			shape[1] = 1
+		}
+		if PairCount(shape, dirs) == 0 {
+			continue
+		}
+		strides := Strides(dims)
+		origin := [4]int{
+			rng.Intn(dims[0] - shape[0] + 1),
+			0,
+			rng.Intn(dims[2] - shape[2] + 1),
+			rng.Intn(dims[3] - shape[3] + 1),
+		}
+		block := rng.Intn(3) * 2
+		k, ref := NewBlocked(g), NewBlocked(g)
+		if !k.Plan(strides, shape, dirs, 1, block) || !ref.Plan(strides, shape, dirs, 1, block) {
+			t.Fatalf("iter %d: Plan rejected a supported geometry", iter)
+		}
+		flat := func(o [4]int) int {
+			return o[0]*strides[0] + o[1]*strides[1] + o[2]*strides[2] + o[3]*strides[3]
+		}
+		got, want := NewFull(g), NewFull(g)
+		k.Accumulate(data, flat(origin))
+		k.Mark()
+		for ; origin[1]+1+shape[1] <= dims[1]; origin[1]++ {
+			for x := origin; x[0] < origin[0]+2 && x[0]+1+shape[0] <= dims[0]; x[0]++ {
+				k.Slide(data, flat(x))
+			}
+			k.StepRow(data, flat(origin))
+			next := origin
+			next[1]++
+			ref.Reset()
+			ref.Accumulate(data, flat(next))
+			k.SnapshotFull(got)
+			ref.SnapshotFull(want)
+			if got.Total != want.Total || !reflect.DeepEqual(got.Counts, want.Counts) {
+				t.Fatalf("iter %d: row step to %v (ROI %v, G=%d) diverged from Accumulate", iter, next, shape, g)
+			}
+			if oracle := oracleFull(data, strides, next, shape, dirs, g); !reflect.DeepEqual(got.Counts, oracle.Counts) {
+				t.Fatalf("iter %d: row step to %v diverged from ComputeFull", iter, next)
+			}
+		}
+	}
+}
+
 // TestBlockedPaperGeometry pins the paper's exact configuration: 16×16×3×3
 // ROI, G=32, all 40 canonical 4D directions at distance 1, slide stride 1.
 func TestBlockedPaperGeometry(t *testing.T) {

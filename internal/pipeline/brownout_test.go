@@ -73,9 +73,24 @@ func assertCleanVoxels(t *testing.T, res *filters.Results, ref map[features.Feat
 // runBrownout executes one serve-stale pipeline run against a blacked-out
 // HTTP backend and returns the collected results and final backend stats.
 // readAhead 0 serializes each reader's fetches (outputs are identical either
-// way); texNodes places the texture copies.
-func runBrownout(t *testing.T, dir string, bo *fault.BlackoutTransport, pol *resilience.Policy, readAhead int, texNodes []int) (*filters.Results, dataset.Stats) {
+// way); texNodes places the texture copies. afterChunks > 0 holds the
+// blackout closed until the sink has assembled that many chunks, and gives
+// every stream a single buffer: backpressure then keeps the readers a few
+// chunks ahead of the sink at most, so reads remain when the window opens.
+func runBrownout(t *testing.T, dir string, bo *fault.BlackoutTransport, pol *resilience.Policy, readAhead int, texNodes []int, afterChunks int) (*filters.Results, dataset.Stats) {
 	t.Helper()
+	cfg := testConfig(HMPImpl, core.FullMatrix, filter.RoundRobin)
+	cfg.ReadAhead = readAhead
+	cfg.FaultPolicy = fault.SkipDegraded
+	// Armed before the dataset is opened: opening makes requests too.
+	var sink atomic.Pointer[filters.Results]
+	if afterChunks > 0 {
+		first := cfg.Analysis.Features[0]
+		bo.Ready = func() bool {
+			res := sink.Load()
+			return res != nil && res.Portions(first) >= afterChunks
+		}
+	}
 	srv := httptest.NewServer(http.FileServer(http.Dir(dir)))
 	defer srv.Close()
 	st, err := dataset.OpenURL(context.Background(), srv.URL, &dataset.URLOptions{
@@ -88,14 +103,16 @@ func runBrownout(t *testing.T, dir string, bo *fault.BlackoutTransport, pol *res
 	}
 	defer st.Close()
 
-	cfg := testConfig(HMPImpl, core.FullMatrix, filter.RoundRobin)
-	cfg.ReadAhead = readAhead
-	cfg.FaultPolicy = fault.SkipDegraded
 	g, res, _, err := Build(st, cfg, &Layout{HMPNodes: texNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(g, EngineLocal, &RunOptions{QueueDepth: 8, Failover: true})
+	sink.Store(res)
+	depth := 8
+	if afterChunks > 0 {
+		depth = 1
+	}
+	rs, err := Run(g, EngineLocal, &RunOptions{QueueDepth: depth, Failover: true})
 	if err != nil {
 		t.Fatalf("brownout run: %v", err)
 	}
@@ -148,21 +165,25 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 			consec = 3
 			tokens = 1
 		)
-		// A clean run of this configuration makes ~100 requests; going dark
-		// after 60 leaves the first ~60% of the data healthy so the
-		// bit-identical check has clean voxels to verify.
-		bo := &fault.BlackoutTransport{StartAfter: 60, FailN: 1 << 30} // permanent
+		// The backend goes dark once the sink holds the first chunks' output
+		// (of 16), so the bit-identical check always has clean voxels to
+		// verify, wherever read scheduling puts the remaining requests.
+		const cleanChunks = 3
+		bo := &fault.BlackoutTransport{FailN: 1 << 30} // permanent
 		pol := &resilience.Policy{
 			// OpenFor far beyond the run: once open, the breaker stays open,
 			// so every failure the backend sees is pre-trip traffic.
 			Breaker: &resilience.BreakerConfig{ConsecFails: consec, OpenFor: time.Hour},
 			Budget:  &resilience.BudgetConfig{Tokens: tokens, Ratio: 0},
 		}
-		res, stats := runBrownout(t, dir, bo, pol, 2, []int{4, 5, 6})
+		res, stats := runBrownout(t, dir, bo, pol, 2, []int{4, 5, 6}, cleanChunks)
 
 		_, _, voxels := res.Degraded()
 		if voxels == 0 {
 			t.Fatal("blackout degraded no voxels — the fault window never opened")
+		}
+		if n := res.Portions(feats[0]); n < cleanChunks {
+			t.Fatalf("%d chunks assembled, want >= %d clean ones", n, cleanChunks)
 		}
 		assertCleanVoxels(t, res, ref, feats)
 		if stats.BreakerTrips < 1 {
@@ -207,7 +228,7 @@ func TestBrownoutHTTPBackend(t *testing.T) {
 			Breaker: &resilience.BreakerConfig{ConsecFails: 3, OpenFor: time.Millisecond, Clock: clock},
 			Budget:  &resilience.BudgetConfig{Tokens: 2, Ratio: 0.1},
 		}
-		res, stats := runBrownout(t, dir, bo, pol, 0, []int{2, 3, 4})
+		res, stats := runBrownout(t, dir, bo, pol, 0, []int{2, 3, 4}, 0)
 
 		_, _, voxels := res.Degraded()
 		if voxels == 0 {

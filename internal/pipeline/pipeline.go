@@ -427,7 +427,7 @@ func addTextureAndOutput(g *filter.Graph, src string, cfg *Config, layout *Layou
 	outNodes := nodesOrDefault(layout.OutputNodes, 1)
 	switch cfg.Output {
 	case OutputCollect:
-		res := filters.NewResults(outDims)
+		res := filters.NewResults(outDims, cfg.Analysis.Features)
 		if cfg.Recovered != nil {
 			if err := res.Restore(cfg.Recovered); err != nil {
 				return nil, err
