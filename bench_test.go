@@ -239,13 +239,13 @@ func BenchmarkFeaturesAllFourteen(b *testing.B) {
 	}
 }
 
-// ----- sliding-window and worker-pool kernel benchmarks -----
+// ----- GLCM kernel and worker-pool benchmarks -----
 //
-// These probe the parallel intra-chunk kernel (internal/core/parallel.go,
-// internal/glcm/sliding.go). Every benchmark reports pairs/s — voxel-pair
-// accumulations per second, counting *logical* pairs (pairsPerROI × ROIs) so
-// the sliding kernel's savings show up as higher throughput rather than a
-// different workload. TestWriteKernelBenchJSON records them in
+// These probe the intra-chunk kernels (internal/glcm/compute.go,
+// internal/glcm/blocked.go, internal/core/parallel.go). Every benchmark
+// reports pairs/s — voxel-pair accumulations per second, counting *logical*
+// pairs (pairsPerROI × ROIs) so the blocked kernel's window reuse shows up
+// as higher throughput rather than a different workload. TestWriteKernelBenchJSON records them in
 // BENCH_kernels.json.
 
 // reportPairs attaches the logical voxel-pair throughput of the timed
@@ -257,8 +257,9 @@ func reportPairs(b *testing.B, pairsPerOp uint64) {
 }
 
 // BenchmarkComputeFull measures the full-recompute dense kernel for one
-// paper ROI (16×16×3×3, 40 directions, G=32) — the per-ROI cost the sliding
-// kernel avoids.
+// paper ROI (16×16×3×3, 40 directions, G=32) — the per-ROI cost the blocked
+// kernel's window reuse avoids, and the dense recompute that the workers=1
+// oracle and the parallel scan's fallback run.
 func BenchmarkComputeFull(b *testing.B) {
 	grid := phantomGrid(b, [4]int{32, 32, 8, 8}, 32)
 	dirs := glcm.Directions(4, 1)
@@ -290,48 +291,21 @@ func BenchmarkComputeSparse(b *testing.B) {
 	reportPairs(b, glcm.PairCount(roi, dirs))
 }
 
-// BenchmarkSlidingWindow measures one whole raster row scanned with the
-// sliding-window kernel: a full accumulation at the row start, then one
-// incremental SlideFull per remaining origin. The grid is 256 voxels wide —
-// the paper dataset's row length — so the row-start cost amortizes as it
-// does in a real scan. pairs/s counts logical pairs (pairsPerROI ×
+// BenchmarkBlockedRow measures one whole raster row scanned with the
+// blocked, direction-batched kernel — one Accumulate at the row start, one
+// Slide per remaining origin — including a merging SnapshotFull at every
+// position, the kernel's honest per-position cost. The grid is 256 voxels
+// wide — the paper dataset's row length — so the row-start cost amortizes
+// as it does in a real scan. pairs/s counts logical pairs (pairsPerROI ×
 // positions), so it is directly comparable to BenchmarkComputeFull — the
-// gap is the overlapping-window reuse win.
-func BenchmarkSlidingWindow(b *testing.B) {
-	grid := phantomGrid(b, [4]int{256, 32, 8, 8}, 32)
-	dirs := glcm.Directions(4, 1)
-	roi := [4]int{16, 16, 3, 3}
-	if !glcm.Reusable(roi, 1, dirs) {
-		b.Fatal("paper ROI should be reusable at stride 1")
-	}
-	nx := grid.Dims[0] - roi[0] + 1
-	m := glcm.NewFull(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		glcm.ComputeFull(grid.Data, grid.Strides(), [4]int{}, roi, dirs, m)
-		for x := 0; x+1 < nx; x++ {
-			glcm.SlideFull(grid.Data, grid.Strides(), [4]int{x, 0, 0, 0}, roi, 1, dirs, m)
-		}
-	}
-	reportPairs(b, glcm.PairCount(roi, dirs)*uint64(nx))
-}
-
-// BenchmarkBlockedRow measures the same whole-raster-row scan as
-// BenchmarkSlidingWindow on the blocked, direction-batched kernel — one
-// Accumulate at the row start, one Slide per remaining origin — including a
-// merging SnapshotFull at every position (the legacy kernel's matrix is live
-// incrementally, so the snapshot is the blocked kernel's honest per-position
-// cost). pairs/s counts the same logical pairs over the same grid, so the
-// two rows compare directly.
+// gap is the blocked kernel's win.
 func BenchmarkBlockedRow(b *testing.B) {
 	grid := phantomGrid(b, [4]int{256, 32, 8, 8}, 32)
 	dirs := glcm.Directions(4, 1)
 	roi := [4]int{16, 16, 3, 3}
 	nx := grid.Dims[0] - roi[0] + 1
 	k := glcm.NewBlocked(32)
-	if !k.Plan(grid.Strides(), roi, dirs, 1, 0) {
+	if !k.Plan(grid.Strides(), roi, dirs, 1) {
 		b.Fatal("paper geometry should be supported by the blocked planner")
 	}
 	m := glcm.NewFull(32)
@@ -358,7 +332,7 @@ func BenchmarkBlockedSparseRow(b *testing.B) {
 	roi := [4]int{16, 16, 3, 3}
 	nx := grid.Dims[0] - roi[0] + 1
 	k := glcm.NewBlocked(32)
-	if !k.Plan(grid.Strides(), roi, dirs, 1, 0) {
+	if !k.Plan(grid.Strides(), roi, dirs, 1) {
 		b.Fatal("paper geometry should be supported by the blocked planner")
 	}
 	s := glcm.NewSparse(32)
@@ -377,12 +351,12 @@ func BenchmarkBlockedSparseRow(b *testing.B) {
 }
 
 // benchAnalyzeRegion returns an AnalyzeRegion benchmark pinned to one
-// intra-chunk worker count and kernel mode (shared by
-// BenchmarkAnalyzeRegionWorkers and the BENCH_kernels.json writer).
-func benchAnalyzeRegion(workers int, kernel core.KernelMode) func(*testing.B) {
+// intra-chunk worker count (shared by BenchmarkAnalyzeRegionWorkers and the
+// BENCH_kernels.json writer).
+func benchAnalyzeRegion(workers int) func(*testing.B) {
 	return func(b *testing.B) {
 		grid := phantomGrid(b, [4]int{24, 24, 6, 6}, 32)
-		cfg := &core.Config{ROI: [4]int{8, 8, 3, 3}, GrayLevels: 32, Representation: core.SparseMatrix, Workers: workers, Kernel: kernel}
+		cfg := &core.Config{ROI: [4]int{8, 8, 3, 3}, GrayLevels: 32, Representation: core.SparseMatrix, Workers: workers}
 		if err := cfg.Validate(); err != nil {
 			b.Fatal(err)
 		}
@@ -407,21 +381,12 @@ func benchAnalyzeRegion(workers int, kernel core.KernelMode) func(*testing.B) {
 // BenchmarkAnalyzeRegionWorkers sweeps the Workers knob over a full region
 // scan (matrices + paper parameters). Workers=1 is the sequential
 // full-recompute reference; workers>1 stripe raster rows across a pool
-// running the blocked direction-batched kernel (the default), so throughput
-// rises even on a single-CPU host. Outputs are bit-identical at every
-// setting (see internal/core TestParallelMatchesSequential and
-// TestKernelModesAgree).
+// running the blocked direction-batched kernel, so throughput rises even on
+// a single-CPU host. Outputs are bit-identical at every setting (see
+// internal/core TestParallelMatchesSequential).
 func BenchmarkAnalyzeRegionWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", w), benchAnalyzeRegion(w, core.KernelAuto))
-	}
-}
-
-// BenchmarkAnalyzeRegionLegacy is the same sweep with the legacy sliding
-// per-direction kernels forced — the A/B baseline for the blocked kernel.
-func BenchmarkAnalyzeRegionLegacy(b *testing.B) {
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", w), benchAnalyzeRegion(w, core.KernelLegacy))
+		b.Run(fmt.Sprintf("%d", w), benchAnalyzeRegion(w))
 	}
 }
 

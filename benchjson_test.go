@@ -6,8 +6,6 @@ import (
 	"os"
 	"runtime"
 	"testing"
-
-	"haralick4d/internal/core"
 )
 
 // TestWriteKernelBenchJSON runs the kernel microbenchmarks and writes their
@@ -34,26 +32,23 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 		return e
 	}
 	entries := []entry{
-		run("ComputeFull", "legacy", BenchmarkComputeFull),
-		run("ComputeSparse", "legacy", BenchmarkComputeSparse),
-		run("SlidingWindow", "legacy", BenchmarkSlidingWindow),
+		run("ComputeFull", "reference", BenchmarkComputeFull),
+		run("ComputeSparse", "reference", BenchmarkComputeSparse),
 		run("BlockedRow", "blocked", BenchmarkBlockedRow),
 		run("BlockedSparseRow", "blocked", BenchmarkBlockedSparseRow),
 	}
 	byWorkers := map[int]entry{}
 	for _, w := range []int{1, 2, 4, 8} {
-		// Workers>1 run the blocked kernel by default; workers=1 is the
-		// sequential legacy reference.
+		// Workers>1 run the blocked kernel; workers=1 is the sequential
+		// reference.
 		kernel := "blocked"
 		if w == 1 {
-			kernel = "legacy"
+			kernel = "reference"
 		}
-		e := run(fmt.Sprintf("AnalyzeRegionWorkers/%d", w), kernel, benchAnalyzeRegion(w, core.KernelAuto))
+		e := run(fmt.Sprintf("AnalyzeRegionWorkers/%d", w), kernel, benchAnalyzeRegion(w))
 		byWorkers[w] = e
 		entries = append(entries, e)
 	}
-	legacy4 := run("AnalyzeRegionLegacy/4", "legacy", benchAnalyzeRegion(4, core.KernelLegacy))
-	entries = append(entries, legacy4)
 	doc := struct {
 		GeneratedBy string             `json:"generated_by"`
 		Host        map[string]any     `json:"host"`
@@ -73,22 +68,19 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 		Unit:       "pairs_per_sec counts logical voxel-pair accumulations (pairsPerROI x ROIs) per second",
 		Benchmarks: entries,
 		Speedups: map[string]float64{
-			"sliding_window_vs_compute_full":   entries[2].PairsPerSec / entries[0].PairsPerSec,
-			"blocked_row_vs_sliding_window":    entries[3].PairsPerSec / entries[2].PairsPerSec,
-			"blocked_row_vs_compute_full":      entries[3].PairsPerSec / entries[0].PairsPerSec,
-			"analyze_region_workers_2_vs_1":    byWorkers[2].PairsPerSec / byWorkers[1].PairsPerSec,
-			"analyze_region_workers_4_vs_1":    byWorkers[4].PairsPerSec / byWorkers[1].PairsPerSec,
-			"analyze_region_workers_8_vs_1":    byWorkers[8].PairsPerSec / byWorkers[1].PairsPerSec,
-			"analyze_region_blocked_vs_legacy": byWorkers[4].PairsPerSec / legacy4.PairsPerSec,
+			"blocked_row_vs_compute_full":   entries[2].PairsPerSec / entries[0].PairsPerSec,
+			"analyze_region_workers_2_vs_1": byWorkers[2].PairsPerSec / byWorkers[1].PairsPerSec,
+			"analyze_region_workers_4_vs_1": byWorkers[4].PairsPerSec / byWorkers[1].PairsPerSec,
+			"analyze_region_workers_8_vs_1": byWorkers[8].PairsPerSec / byWorkers[1].PairsPerSec,
 		},
 		Notes: []string{
 			"host metadata (cpus, gomaxprocs) is captured at bench time on the generating machine via runtime.NumCPU()/runtime.GOMAXPROCS(0)",
-			"the kernel field distinguishes legacy rows (per-direction kernels of compute.go/sliding.go) from blocked rows (direction-batched kernel of blocked.go)",
-			"workers=1 is the sequential reference kernel: full recompute per ROI, no goroutines, no sliding reuse",
-			"workers>1 stripe raster rows across a worker pool running the blocked kernel by default (KernelAuto); AnalyzeRegionLegacy/4 forces the sliding per-direction kernels for comparison",
-			"BlockedRow/BlockedSparseRow pay a merging snapshot per position (the legacy kernel's matrix is live incrementally), so the comparison with SlidingWindow is honest",
+			"the kernel field distinguishes reference rows (per-direction dense recompute of compute.go) from blocked rows (direction-batched kernel of blocked.go)",
+			"workers=1 is the sequential reference kernel: full recompute per ROI, no goroutines, no window reuse",
+			"workers>1 stripe raster rows across a worker pool running the blocked kernel",
+			"BlockedRow/BlockedSparseRow pay a merging snapshot per position, so the comparison with ComputeFull is honest",
 			"on a single-CPU host (gomaxprocs above) the workers>1 gain comes from kernel efficiency, not hardware parallelism; multi-core hosts stack both",
-			"outputs are bit-identical at every worker count and kernel mode (internal/core TestParallelMatchesSequential, TestKernelModesAgree)",
+			"outputs are bit-identical at every worker count (internal/core TestParallelMatchesSequential)",
 		},
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

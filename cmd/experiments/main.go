@@ -23,7 +23,6 @@ import (
 	"syscall"
 
 	"haralick4d/internal/cliflags"
-	"haralick4d/internal/core"
 	"haralick4d/internal/experiments"
 	"haralick4d/internal/metrics"
 )
@@ -41,14 +40,6 @@ func validateCountFlags(readAhead, kernelWorkers int) error {
 	return nil
 }
 
-func parseKernel(s string) (core.KernelMode, error) {
-	k, err := core.ParseKernelMode(s)
-	if err != nil {
-		return 0, fmt.Errorf("-kernel: %w", err)
-	}
-	return k, nil
-}
-
 func main() {
 	var (
 		fig      = flag.String("fig", "", "figure id: 7a, 7b, 8, 9, 10, 11, density, zeroskip, iic, dirs, chunk, decluster, kernel, autotune (default: all)")
@@ -58,7 +49,6 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "simulation repetitions per configuration (min is reported)")
 		computeS = flag.Float64("compute-scale", experiments.DefaultComputeScale, "virtual seconds per host second on a speed-1 node")
 		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers inside each texture filter (0 = all CPUs, 1 = sequential reference kernel; the kernel figure sweeps this itself)")
-		kernelS  = flag.String("kernel", "auto", "parallel-scan GLCM kernel: auto (blocked when supported), blocked, legacy (the kernel figure sweeps both)")
 		rdAhead  = flag.Int("readahead", 4, "I/O windows the reader filters fetch ahead of the pipeline (0 = synchronous reads; outputs are identical either way)")
 		cacheBl  = flag.Int("cache-blocks", 0, "block-cache budget between the dataset backend and the readers, in blocks (0 = no cache)")
 		cacheBS  = flag.Int("cache-block-size", 0, "block-cache granularity in bytes (default 128KiB; requires -cache-blocks)")
@@ -74,12 +64,6 @@ func main() {
 	)
 	flag.Parse()
 	if err := validateCountFlags(*rdAhead, *kworkers); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	kernel, err := parseKernel(*kernelS)
-	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -144,7 +128,6 @@ func main() {
 	env.Repeats = *repeats
 	env.ComputeScale = *computeS
 	env.KernelWorkers = *kworkers
-	env.Kernel = kernel
 	env.ReadAhead = *rdAhead
 	env.StallTimeout = stallTimeout
 	switch *memoP {

@@ -95,16 +95,13 @@ func parseAutoTuneFlags(on bool, intervalS string, seed int64, engine pipeline.E
 
 // validateCountFlags rejects the negative values the flag package happily
 // parses; 0 keeps each flag's documented meaning (synchronous reads, all
-// CPUs, untiled kernel rows).
-func validateCountFlags(readAhead, kernelWorkers, kernelBlock int) error {
+// CPUs).
+func validateCountFlags(readAhead, kernelWorkers int) error {
 	if readAhead < 0 {
 		return fmt.Errorf("-readahead must be >= 0, got %d", readAhead)
 	}
 	if kernelWorkers < 0 {
 		return fmt.Errorf("-kernel-workers must be >= 0, got %d", kernelWorkers)
-	}
-	if kernelBlock < 0 {
-		return fmt.Errorf("-kernel-block must be >= 0, got %d", kernelBlock)
 	}
 	return nil
 }
@@ -138,8 +135,6 @@ func main() {
 		deadS    = flag.String("deadline", "", "wall-clock budget for the whole run, e.g. 10m; propagated as a context deadline into every backend read (empty = none)")
 		texture  = flag.Int("texture", 4, "texture filter copies (HMP, or HCC+HPC pairs for split)")
 		kworkers = flag.Int("kernel-workers", 1, "intra-chunk kernel workers per texture filter copy (0 = all CPUs, 1 = sequential reference kernel)")
-		kernelS  = flag.String("kernel", "auto", "parallel-scan GLCM kernel: auto (blocked when supported), blocked, legacy")
-		kblock   = flag.Int("kernel-block", 0, "x tile width of the blocked kernel's accumulation runs (0 = untiled rows)")
 		iic      = flag.Int("iic", 1, "explicit IIC copies")
 		roiS     = flag.String("roi", "16x16x3x3", "ROI window XxYxZxT")
 		chunkS   = flag.String("chunk", "", "IIC-to-TEXTURE chunk shape XxYxZxT (default: auto)")
@@ -198,11 +193,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	kernel, err := core.ParseKernelMode(*kernelS)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := validateCountFlags(*rdAhead, *kworkers, *kblock); err != nil {
+	if err := validateCountFlags(*rdAhead, *kworkers); err != nil {
 		fmt.Fprintf(os.Stderr, "haralick4d: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -313,8 +304,6 @@ func main() {
 				Features:       feats,
 				Representation: rep,
 				Workers:        *kworkers,
-				Kernel:         kernel,
-				KernelBlock:    *kblock,
 			},
 			ChunkShape: chunk,
 			Impl:       impl,

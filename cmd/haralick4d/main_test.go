@@ -10,26 +10,25 @@ import (
 
 func TestValidateCountFlags(t *testing.T) {
 	cases := []struct {
-		readAhead, kernelWorkers, kernelBlock int
-		wantErr                               string
+		readAhead, kernelWorkers int
+		wantErr                  string
 	}{
-		{0, 0, 0, ""},
-		{4, 8, 16, ""},
-		{-1, 0, 0, "-readahead must be >= 0, got -1"},
-		{0, -3, 0, "-kernel-workers must be >= 0, got -3"},
-		{0, 0, -4, "-kernel-block must be >= 0, got -4"},
-		{-2, -2, -2, "-readahead must be >= 0, got -2"}, // first offender wins
+		{0, 0, ""},
+		{4, 8, ""},
+		{-1, 0, "-readahead must be >= 0, got -1"},
+		{0, -3, "-kernel-workers must be >= 0, got -3"},
+		{-2, -2, "-readahead must be >= 0, got -2"}, // first offender wins
 	}
 	for _, c := range cases {
-		err := validateCountFlags(c.readAhead, c.kernelWorkers, c.kernelBlock)
+		err := validateCountFlags(c.readAhead, c.kernelWorkers)
 		if c.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateCountFlags(%d, %d, %d) = %v, want nil", c.readAhead, c.kernelWorkers, c.kernelBlock, err)
+				t.Errorf("validateCountFlags(%d, %d) = %v, want nil", c.readAhead, c.kernelWorkers, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("validateCountFlags(%d, %d, %d) = %v, want %q", c.readAhead, c.kernelWorkers, c.kernelBlock, err, c.wantErr)
+			t.Errorf("validateCountFlags(%d, %d) = %v, want %q", c.readAhead, c.kernelWorkers, err, c.wantErr)
 		}
 	}
 }

@@ -86,27 +86,6 @@ const (
 	SparseMatrix = core.SparseMatrix
 )
 
-// KernelMode selects the GLCM accumulation kernel of the parallel
-// intra-chunk scan (see Options.Kernel).
-type KernelMode = core.KernelMode
-
-// The three kernel modes.
-const (
-	// KernelAuto (default) uses the cache-blocked, direction-batched kernel
-	// whenever the scan geometry supports it, falling back to the legacy
-	// sliding-window kernels otherwise.
-	KernelAuto = core.KernelAuto
-	// KernelBlocked requests the blocked kernel explicitly (unsupported
-	// geometries still fall back per worker).
-	KernelBlocked = core.KernelBlocked
-	// KernelLegacy forces the per-direction legacy kernels everywhere.
-	KernelLegacy = core.KernelLegacy
-)
-
-// ParseKernelMode returns the kernel mode with the given canonical name
-// ("auto", "blocked", "legacy").
-func ParseKernelMode(s string) (KernelMode, error) { return core.ParseKernelMode(s) }
-
 // Volume is a raw 4D image dataset of 2-byte voxels with dimensions
 // (X, Y, Z, T), x varying fastest.
 type Volume = volume.Volume
@@ -144,21 +123,12 @@ type Options struct {
 	// all CPUs, 1 forces the sequential reference path.
 	Parallelism int
 	// KernelWorkers bounds the intra-chunk parallelism inside each texture
-	// filter: ROI raster rows are striped across this many workers, whose
-	// per-row kernel reuses overlapping-window work (sliding-window GLCM
-	// updates). 0 uses all CPUs, 1 forces the sequential reference kernel.
-	// Outputs are bit-identical at every setting.
+	// filter: ROI raster rows are striped across this many workers, which
+	// run the cache-blocked, direction-batched GLCM kernel and reuse
+	// overlapping-window work by sliding and stepping its scratch from one
+	// ROI to the next. 0 uses all CPUs, 1 forces the sequential reference
+	// kernel. Outputs are bit-identical at every setting.
 	KernelWorkers int
-	// Kernel selects the GLCM accumulation kernel those workers run. The
-	// zero value, KernelAuto, enables the cache-blocked, direction-batched
-	// kernel by default; KernelLegacy restores the per-direction kernels.
-	// The sequential reference path (KernelWorkers 1) is always legacy, and
-	// outputs are bit-identical across modes.
-	Kernel KernelMode
-	// KernelBlock bounds the x extent of the blocked kernel's accumulation
-	// runs (an L1 tile width in voxels) for ROIs whose rows outgrow the
-	// cache. 0 — the default — leaves rows untiled.
-	KernelBlock int
 	// DisableMetrics turns off the run's observability layer; Result.Report
 	// stays nil. Metrics are on by default and cost a few atomic operations
 	// per stream buffer.
@@ -428,8 +398,6 @@ func (o *Options) coreConfig() (core.Config, error) {
 			Features:       o.Features,
 			Representation: o.Representation,
 			Workers:        o.KernelWorkers,
-			Kernel:         o.Kernel,
-			KernelBlock:    o.KernelBlock,
 		}
 	}
 	err := cfg.Validate()

@@ -30,7 +30,7 @@ type Memo struct {
 }
 
 // Key builds the canonical memo key from a config fingerprint (see
-// checkpoint.Header.Fingerprint) and a cell descriptor ("copies=2,kblock=16").
+// checkpoint.Header.Fingerprint) and a cell descriptor ("copies=2,ra=4").
 func Key(fingerprint, cell string) string { return fingerprint + "|" + cell }
 
 // FingerprintBytes returns the short stable digest the memo keys use, for

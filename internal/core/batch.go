@@ -52,8 +52,9 @@ func (b *MatrixBatch) reset(workers int) {
 // SparseBatchInto computes one sparse co-occurrence matrix per ROI origin
 // of the box, in raster order, publishing them on b.Sparse. The matrices
 // alias b's arenas; see MatrixBatch. With an effective worker count above
-// one the raster rows are striped across a worker pool running the
-// sliding-window kernel; at one it runs the sequential reference kernel.
+// one the raster rows are striped across a worker pool running the blocked
+// kernel; at one it recomputes every ROI with the sequential reference
+// kernel.
 func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, b *MatrixBatch) error {
 	if region == nil {
 		return ErrNilRegion
@@ -67,11 +68,8 @@ func SparseBatchInto(region *volume.Region, origins volume.Box, cfg *Config, sta
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, true, workers > 1 && cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, true, workers > 1)
 		defer sc.release()
-		if workers == 1 {
-			sc.slide = false // sequential reference: full recompute per ROI
-		}
 		var st *Stats
 		if stats != nil {
 			st = &local[w]
@@ -124,11 +122,8 @@ func FullBatchInto(region *volume.Region, origins volume.Box, cfg *Config, stats
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, false, workers > 1 && cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, false, workers > 1)
 		defer sc.release()
-		if workers == 1 {
-			sc.slide = false // sequential reference: full recompute per ROI
-		}
 		var st *Stats
 		if stats != nil {
 			st = &local[w]

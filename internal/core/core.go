@@ -87,19 +87,10 @@ type Config struct {
 	// Workers bounds the intra-chunk parallelism of AnalyzeRegion and the
 	// batch builders: 0 selects GOMAXPROCS, 1 forces the sequential
 	// reference kernel (the verification oracle), and larger values stripe
-	// ROI raster rows across a worker pool whose per-row kernel also reuses
-	// overlapping-window work (glcm.SlideFull / glcm.SlideSparseScratch).
+	// ROI raster rows across a worker pool running the blocked kernel
+	// (glcm.Blocked), which reuses overlapping-window work by sliding along
+	// x and stepping along y.
 	Workers int
-	// Kernel selects the accumulation kernel of the parallel scan path
-	// (see KernelMode). The zero value, KernelAuto, enables the blocked
-	// kernel by default; the sequential workers=1 reference path is always
-	// legacy regardless of this knob.
-	Kernel KernelMode
-	// KernelBlock bounds the x extent of the blocked kernel's accumulation
-	// runs — an L1 tile width in voxels for ROIs whose rows outgrow the
-	// cache. 0 (the default) leaves rows untiled; the legacy kernels ignore
-	// it.
-	KernelBlock int
 }
 
 // DefaultConfig returns the paper's experimental configuration (§5.1) with
@@ -158,12 +149,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: workers %d must be >= 0 (0 selects GOMAXPROCS)", c.Workers)
-	}
-	if c.Kernel < KernelAuto || c.Kernel > KernelLegacy {
-		return fmt.Errorf("core: invalid kernel mode %d", int(c.Kernel))
-	}
-	if c.KernelBlock < 0 {
-		return fmt.Errorf("core: kernel block %d must be >= 0 (0 disables tiling)", c.KernelBlock)
 	}
 	if glcm.PairCount(c.ROI, c.DirectionSet()) == 0 {
 		return fmt.Errorf("core: ROI %v admits no voxel pairs at distance %d with %d direction(s) — every direction's displacement exceeds the ROI extent, so all matrices would be empty", c.ROI, c.Distance, len(c.DirectionSet()))

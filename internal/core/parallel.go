@@ -15,13 +15,13 @@ import (
 // x): rows are split into contiguous blocks, one block per worker, so the
 // per-worker results concatenate back into global raster order. Each worker
 // owns its own scratch matrix, sparse builder and feature calculator, so the
-// hot loop performs no allocation and shares no mutable state. With the
-// blocked kernel (the default), only the first ROI of each worker's (z,t)
-// plane is accumulated from scratch: the first ROI of every further row is
-// stepped one row along y from the previous row's, and the ROIs along a row
-// are slid along x. The legacy fallback advances the matrix within a row with the sliding-window kernels
-// (glcm.SlideFull / glcm.SlideSparseScratch), recomputing at every row
-// start or when the window geometry admits no reuse.
+// hot loop performs no allocation and shares no mutable state. Workers run
+// the blocked kernel (glcm.Blocked): only the first ROI of each worker's
+// (z,t) plane is accumulated from scratch; the first ROI of every further
+// row is stepped one row along y from the previous row's, and the ROIs
+// along a row are slid along x. Geometries the blocked planner rejects fall
+// back to a dense recompute of every ROI (glcm.ComputeFull /
+// glcm.ComputeSparseScratch).
 //
 // Workers == 1 never enters this file's machinery: it runs the untouched
 // sequential kernel (ScanRegion), which remains the verification oracle.
@@ -106,7 +106,6 @@ type rowScanner struct {
 	regionLo [4]int
 	sy, sz   int
 	nx       int
-	slide    bool
 	pairs    uint64 // logical pairs per matrix (Total/2)
 	full     *glcm.Full
 	sparse   *glcm.Sparse
@@ -116,14 +115,14 @@ type rowScanner struct {
 
 // newRowScanner builds a scanner for the given scan; sparseRep selects the
 // matrix representation (independently of cfg.Representation, because the
-// batch builders fix the representation by API). Consecutive raster origins
-// are one voxel apart, so the slide stride is always 1; sliding engages
-// whenever some direction's pair box is wider than that.
+// batch builders fix the representation by API).
 //
 // When blocked is set the scanner plans the cache-blocked, direction-batched
-// kernel (pooled across chunks via glcm.GetBlocked); geometries the planner
-// rejects fall back to the legacy sliding-window kernels. Callers must
-// release() the scanner when done so the pooled scratch is recycled.
+// kernel (pooled across chunks via glcm.GetBlocked) with a slide stride of
+// 1, the distance between consecutive raster origins; geometries the
+// planner rejects, and scanners built without blocked, recompute every ROI
+// with the dense reference kernels. Callers must release() the scanner when
+// done so the pooled scratch is recycled.
 func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, sparseRep, blocked bool) *rowScanner {
 	shape := origins.Shape()
 	dirs := cfg.DirectionSet()
@@ -137,12 +136,11 @@ func newRowScanner(region *volume.Region, origins volume.Box, cfg *Config, spars
 		sy:       shape[1],
 		sz:       shape[2],
 		nx:       shape[0],
-		slide:    glcm.Reusable(cfg.ROI, 1, dirs),
 		pairs:    glcm.PairCount(cfg.ROI, dirs),
 	}
 	if blocked {
 		k := glcm.GetBlocked(cfg.GrayLevels)
-		if k.Plan(s.strides, cfg.ROI, dirs, 1, cfg.KernelBlock) {
+		if k.Plan(s.strides, cfg.ROI, dirs, 1) {
 			s.blocked = k
 		} else {
 			glcm.PutBlocked(k)
@@ -170,7 +168,7 @@ func (s *rowScanner) release() {
 
 // scan visits the origins of rows [r0, r1) in raster order. Stats counts
 // the pairs each matrix represents, not the accumulations performed — the
-// sliding kernel performs far fewer, and that gap is the optimization.
+// blocked kernel performs far fewer, and that gap is the optimization.
 func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 	for r := r0; r < r1; r++ {
 		p := [4]int{
@@ -213,27 +211,15 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 					}
 				}
 			} else if s.sparse != nil {
-				if i == 0 || !s.slide {
-					s.builder.Clear()
-					glcm.ComputeSparseScratch(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.builder)
-				} else {
-					prev := rel
-					prev[0]--
-					glcm.SlideSparseScratch(s.data, s.strides, prev, s.cfg.ROI, 1, s.dirs, s.builder)
-				}
+				s.builder.Clear()
+				glcm.ComputeSparseScratch(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.builder)
 				s.builder.Snapshot(s.sparse)
 				if stats != nil {
 					stats.StoredEntries += int64(s.sparse.NonZero())
 				}
 			} else {
-				if i == 0 || !s.slide {
-					s.full.Reset()
-					glcm.ComputeFull(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.full)
-				} else {
-					prev := rel
-					prev[0]--
-					glcm.SlideFull(s.data, s.strides, prev, s.cfg.ROI, 1, s.dirs, s.full)
-				}
+				s.full.Reset()
+				glcm.ComputeFull(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.full)
 				if stats != nil {
 					stats.StoredEntries += int64(s.full.NonZero())
 				}
@@ -266,8 +252,8 @@ func mergeStats(stats *Stats, local []Stats) {
 // regions — one per configured feature, each spanning exactly the origin
 // box — so callers can pool the float backing across chunks. With an
 // effective worker count above one, the ROI raster rows are striped across
-// a worker pool running the sliding-window kernel; at one, it runs the
-// sequential reference path (ScanRegion), the verification oracle.
+// a worker pool running the blocked kernel; at one, it runs the sequential
+// reference path (ScanRegion), the verification oracle.
 func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, stats *Stats, out []*volume.FloatRegion) error {
 	if region == nil {
 		return ErrNilRegion
@@ -302,7 +288,7 @@ func AnalyzeRegionInto(region *volume.Region, origins volume.Box, cfg *Config, s
 	rows := shape[1] * shape[2] * shape[3]
 	local := make([]Stats, workers)
 	err := runRows(rows, workers, func(w, r0, r1 int) error {
-		sc := newRowScanner(region, origins, cfg, cfg.Representation == SparseMatrix, cfg.useBlocked())
+		sc := newRowScanner(region, origins, cfg, cfg.Representation == SparseMatrix, true)
 		defer sc.release()
 		calc := features.NewCalculator(cfg.GrayLevels, cfg.Features)
 		var st *Stats

@@ -34,8 +34,13 @@ func randConfig(rng *rand.Rand, dims [4]int) Config {
 		Representation: Representation(rng.Intn(3)),
 		Features:       randFeatures(rng),
 	}
-	if rng.Intn(2) == 0 {
+	switch rng.Intn(3) {
+	case 0:
 		cfg.Directions = glcm.AxisDirections(4, 1)
+	case 1:
+		// 80 directions: more than glcm.Blocked.Plan accepts, so the
+		// parallel scan falls back to the dense recompute per ROI.
+		cfg.Directions = glcm.AllDirections(4, 1)
 	}
 	return cfg
 }

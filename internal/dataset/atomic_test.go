@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -88,7 +89,7 @@ func TestStrayTemporaryIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReadVolume(); err != nil {
+	if _, err := st.ReadVolumeContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -74,7 +74,7 @@ func TestOpenURLFileMatchesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	back, err := st.ReadVolume()
+	back, err := st.ReadVolumeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestLocalBackendHandleReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs, err := st.NodeIndex(0)
+		refs, err := st.NodeIndexContext(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < reads; i++ {
-			if _, err := st.ReadSlice(0, refs[0]); err != nil {
+			if _, err := st.ReadSliceContext(context.Background(), 0, refs[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestLocalBackendEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestLocalBackendEviction(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, ref := range refs {
-			if _, err := st.ReadSlice(0, ref); err != nil {
+			if _, err := st.ReadSliceContext(context.Background(), 0, ref); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,8 +185,8 @@ func TestWrapObjectsFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		refs, _ := st.NodeIndex(0)
-		_, err = st.ReadSlice(0, refs[0])
+		refs, _ := st.NodeIndexContext(context.Background(), 0)
+		_, err = st.ReadSliceContext(context.Background(), 0, refs[0])
 		if !errors.Is(err, ErrDegradedData) {
 			t.Errorf("corrupt read error = %v, want ErrDegradedData", err)
 		}
@@ -201,8 +201,8 @@ func TestWrapObjectsFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		refs, _ := st.NodeIndex(0)
-		_, err = st.ReadSlice(0, refs[0])
+		refs, _ := st.NodeIndexContext(context.Background(), 0)
+		_, err = st.ReadSliceContext(context.Background(), 0, refs[0])
 		if !errors.Is(err, ErrDegradedData) {
 			t.Errorf("truncated read error = %v, want ErrDegradedData", err)
 		}
@@ -260,7 +260,7 @@ func TestMemBackendRoundTrip(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Error(err)
 	}
-	back, err := st.ReadVolume()
+	back, err := st.ReadVolumeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Error(err)
 	}
-	back, err := st.ReadVolume()
+	back, err := st.ReadVolumeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +328,11 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 		}
 	}
 	// Region reads exercise the ranged-GET path with sub-file offsets.
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.ReadSliceRegion(0, refs[0], 2, 6, 1, 5)
+	got, err := st.ReadSliceRegionContext(context.Background(), 0, refs[0], 2, 6, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestHTTPBackendMissingSliceIsDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := st0.NodeIndex(0)
+	refs, err := st0.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestHTTPBackendMissingSliceIsDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	_, err = st.ReadSlice(0, refs[0])
+	_, err = st.ReadSliceContext(context.Background(), 0, refs[0])
 	if !errors.Is(err, ErrDegradedData) {
 		t.Errorf("missing remote slice error = %v, want ErrDegradedData", err)
 	}
@@ -392,12 +392,12 @@ func TestHTTPBackendUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Close() // the remote store goes away mid-run
-	_, err = st.ReadSlice(0, refs[0])
+	_, err = st.ReadSliceContext(context.Background(), 0, refs[0])
 	if !errors.Is(err, ErrBackendUnavailable) {
 		t.Errorf("dead server error = %v, want ErrBackendUnavailable", err)
 	}
@@ -431,7 +431,7 @@ func TestHTTPBackendRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	back, err := st.ReadVolume()
+	back, err := st.ReadVolumeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -17,13 +18,13 @@ func TestCachedReadsMatchDirect(t *testing.T) {
 	}
 	indexes := make([][]SliceRef, 2)
 	for node := 0; node < 2; node++ {
-		refs, err := cached.NodeIndex(node)
+		refs, err := cached.NodeIndexContext(context.Background(), node)
 		if err != nil {
 			t.Fatal(err)
 		}
 		indexes[node] = refs
 		for _, ref := range refs {
-			got, err := cached.ReadSlice(node, ref)
+			got, err := cached.ReadSliceContext(context.Background(), node, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +53,7 @@ func TestCachedReadsMatchDirect(t *testing.T) {
 	readsBefore := s.Reads
 	for node := 0; node < 2; node++ {
 		for _, ref := range indexes[node] {
-			got, err := cached.ReadSlice(node, ref)
+			got, err := cached.ReadSliceContext(context.Background(), node, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,16 +84,16 @@ func TestCachedRegionReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := cached.NodeIndex(0)
+	refs, err := cached.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ref := range refs {
-		got, err := cached.ReadSliceRegion(0, ref, 3, 17, 2, 13)
+		got, err := cached.ReadSliceRegionContext(context.Background(), 0, ref, 3, 17, 2, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := direct.ReadSliceRegion(0, ref, 3, 17, 2, 13)
+		want, err := direct.ReadSliceRegionContext(context.Background(), 0, ref, 3, 17, 2, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,13 +117,13 @@ func TestCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := cached.NodeIndex(0)
+	refs, err := cached.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, ref := range refs {
-			got, err := cached.ReadSlice(0, ref)
+			got, err := cached.ReadSliceContext(context.Background(), 0, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +163,7 @@ func TestCacheConcurrency(t *testing.T) {
 	}
 	var tasks []task
 	for node := 0; node < 3; node++ {
-		refs, err := cached.NodeIndex(node)
+		refs, err := cached.NodeIndexContext(context.Background(), node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestCacheConcurrency(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				tk := tasks[rng.Intn(len(tasks))]
-				got, err := cached.ReadSlice(tk.node, tk.ref)
+				got, err := cached.ReadSliceContext(context.Background(), tk.node, tk.ref)
 				if err != nil {
 					errs <- err
 					return

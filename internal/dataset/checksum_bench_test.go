@@ -27,14 +27,14 @@ func benchStore(b *testing.B) *Store {
 // Benchmarks verified vs unverified whole-slice reads to bound the CRC cost.
 func BenchmarkReadSliceVerified(b *testing.B) {
 	st := benchStore(b)
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	out := make([]uint16, 256*256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.ReadSliceInto(0, refs[i%len(refs)], out); err != nil {
+		if err := st.ReadSliceIntoContext(context.Background(), 0, refs[i%len(refs)], out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func BenchmarkReadSliceVerified(b *testing.B) {
 
 func BenchmarkReadSliceUnverified(b *testing.B) {
 	st := benchStore(b)
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func BenchmarkReadSliceUnverified(b *testing.B) {
 	out := make([]uint16, 256*256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.ReadSliceInto(0, refs[i%len(refs)], out); err != nil {
+		if err := st.ReadSliceIntoContext(context.Background(), 0, refs[i%len(refs)], out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,14 +76,14 @@ func BenchmarkReadSliceFDCache(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer st.Close()
-			refs, err := st.NodeIndex(0)
+			refs, err := st.NodeIndexContext(context.Background(), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			out := make([]uint16, 256*256)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := st.ReadSliceInto(0, refs[i%len(refs)], out); err != nil {
+				if err := st.ReadSliceIntoContext(context.Background(), 0, refs[i%len(refs)], out); err != nil {
 					b.Fatal(err)
 				}
 			}

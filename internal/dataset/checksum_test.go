@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ func TestChecksumsRoundTrip(t *testing.T) {
 	}
 	out := make([]uint16, 8*6)
 	for node := 0; node < meta.Nodes; node++ {
-		refs, err := st.NodeIndex(node)
+		refs, err := st.NodeIndexContext(context.Background(), node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +26,7 @@ func TestChecksumsRoundTrip(t *testing.T) {
 			if !ref.HasCRC {
 				t.Fatalf("slice %s has no checksum", ref.File)
 			}
-			if err := st.ReadSliceInto(node, ref, out); err != nil {
+			if err := st.ReadSliceIntoContext(context.Background(), node, ref, out); err != nil {
 				t.Fatalf("verified read of %s: %v", ref.File, err)
 			}
 		}
@@ -35,7 +36,7 @@ func TestChecksumsRoundTrip(t *testing.T) {
 func TestChecksumDetectsBitFlip(t *testing.T) {
 	v := randomVolume(12, [4]int{8, 6, 2, 2})
 	st, _ := writeTemp(t, v, 1)
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestChecksumDetectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]uint16, 8*6)
-	err = st.ReadSliceInto(0, ref, out)
+	err = st.ReadSliceIntoContext(context.Background(), 0, ref, out)
 	if !errors.Is(err, ErrDegradedData) {
 		t.Fatalf("corrupt read err = %v, want ErrDegradedData", err)
 	}
@@ -59,7 +60,7 @@ func TestChecksumDetectsBitFlip(t *testing.T) {
 	}
 	// Region reads skip checksum verification by design: the flipped byte
 	// still decodes, it just decodes wrong.
-	if err := st.ReadSliceRegionInto(0, ref, 0, 4, 0, 3, out[:4*3]); err != nil {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), 0, ref, 0, 4, 0, 3, out[:4*3]); err != nil {
 		t.Fatalf("region read after flip: %v", err)
 	}
 }
@@ -67,7 +68,7 @@ func TestChecksumDetectsBitFlip(t *testing.T) {
 func TestTruncatedAndMissingSlicesDegrade(t *testing.T) {
 	v := randomVolume(13, [4]int{8, 6, 2, 2})
 	st, _ := writeTemp(t, v, 1)
-	refs, err := st.NodeIndex(0)
+	refs, err := st.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +78,17 @@ func TestTruncatedAndMissingSlicesDegrade(t *testing.T) {
 	if err := os.Truncate(trunc, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReadSliceInto(0, refs[0], out); !errors.Is(err, ErrDegradedData) {
+	if err := st.ReadSliceIntoContext(context.Background(), 0, refs[0], out); !errors.Is(err, ErrDegradedData) {
 		t.Fatalf("truncated read err = %v, want ErrDegradedData", err)
 	}
 
 	if err := os.Remove(filepath.Join(st.NodeDir(0), refs[1].File)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReadSliceInto(0, refs[1], out); !errors.Is(err, ErrDegradedData) {
+	if err := st.ReadSliceIntoContext(context.Background(), 0, refs[1], out); !errors.Is(err, ErrDegradedData) {
 		t.Fatalf("missing-file read err = %v, want ErrDegradedData", err)
 	}
-	if err := st.ReadSliceRegionInto(0, refs[1], 0, 8, 0, 6, out); !errors.Is(err, ErrDegradedData) {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), 0, refs[1], 0, 8, 0, 6, out); !errors.Is(err, ErrDegradedData) {
 		t.Fatalf("missing-file region read err = %v, want ErrDegradedData", err)
 	}
 }
@@ -117,7 +118,7 @@ func TestLegacyIndexWithoutChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := st2.NodeIndex(0)
+	refs, err := st2.NodeIndexContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestLegacyIndexWithoutChecksums(t *testing.T) {
 		if ref.HasCRC {
 			t.Fatalf("legacy ref %s claims a checksum", ref.File)
 		}
-		if err := st2.ReadSliceInto(0, ref, out); err != nil {
+		if err := st2.ReadSliceIntoContext(context.Background(), 0, ref, out); err != nil {
 			t.Fatalf("legacy read of %s: %v", ref.File, err)
 		}
 	}
@@ -174,12 +175,12 @@ func TestCorruptSlices(t *testing.T) {
 	degraded := 0
 	out := make([]uint16, 8*6)
 	for node := 0; node < st.Meta.Nodes; node++ {
-		refs, err := st.NodeIndex(node)
+		refs, err := st.NodeIndexContext(context.Background(), node)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ref := range refs {
-			if err := st.ReadSliceInto(node, ref, out); err != nil {
+			if err := st.ReadSliceIntoContext(context.Background(), node, ref, out); err != nil {
 				if !errors.Is(err, ErrDegradedData) {
 					t.Fatalf("read of %s: %v, want ErrDegradedData", ref.File, err)
 				}

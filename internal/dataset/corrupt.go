@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -36,7 +37,7 @@ func CorruptSlices(dir string, frac float64, seed int64) ([]string, error) {
 	}
 	var all []victim
 	for node := 0; node < s.Meta.Nodes; node++ {
-		refs, err := s.NodeIndex(node)
+		refs, err := s.NodeIndexContext(context.TODO(), node)
 		if err != nil {
 			return nil, err
 		}

@@ -344,13 +344,8 @@ func (s *Store) NodeDir(node int) string { return filepath.Join(s.Dir, nodeDirNa
 // nodeObjectName returns the backend name of a file in a node's directory.
 func nodeObjectName(node int, file string) string { return nodeDirName(node) + "/" + file }
 
-// NodeIndex parses the node's index file and returns its slice refs sorted
-// by (T, Z).
-func (s *Store) NodeIndex(node int) ([]SliceRef, error) {
-	return s.NodeIndexContext(context.Background(), node)
-}
-
-// NodeIndexContext is NodeIndex bounded by ctx.
+// NodeIndexContext parses the node's index file and returns its slice refs
+// sorted by (T, Z). The backend read is bounded by ctx.
 func (s *Store) NodeIndexContext(ctx context.Context, node int) ([]SliceRef, error) {
 	if node < 0 || node >= s.Meta.Nodes {
 		return nil, fmt.Errorf("dataset: node %d out of range [0, %d)", node, s.Meta.Nodes)
@@ -475,12 +470,8 @@ func sliceReadErr(format string, args ...any) error {
 	return degradedf(format, args...)
 }
 
-// ReadSlice reads one whole 2D slice from the given node.
-func (s *Store) ReadSlice(node int, ref SliceRef) ([]uint16, error) {
-	return s.ReadSliceContext(context.Background(), node, ref)
-}
-
-// ReadSliceContext is ReadSlice bounded by ctx.
+// ReadSliceContext reads one whole 2D slice from the given node, bounded by
+// ctx.
 func (s *Store) ReadSliceContext(ctx context.Context, node int, ref SliceRef) ([]uint16, error) {
 	X, Y := s.Meta.Dims[0], s.Meta.Dims[1]
 	out := make([]uint16, X*Y)
@@ -490,21 +481,16 @@ func (s *Store) ReadSliceContext(ctx context.Context, node int, ref SliceRef) ([
 	return out, nil
 }
 
-// ReadSliceInto is ReadSlice decoding into the caller's X·Y-value buffer, so
-// a streaming reader reuses one buffer per window instead of allocating the
-// raw file plus the output on every call.
+// ReadSliceIntoContext is ReadSliceContext decoding into the caller's
+// X·Y-value buffer, so a streaming reader reuses one buffer per window
+// instead of allocating the raw file plus the output on every call.
 //
 // When ref carries a checksum (datasets written with Meta.Checksums), the
 // file's bytes are verified against it, so silent bit corruption surfaces as
 // an ErrDegradedData-wrapped error — as do missing, truncated and
 // short-read slices. Note that only whole-slice reads verify checksums; the
-// positioned row reads of ReadSliceRegionInto detect truncation but not
-// bit flips.
-func (s *Store) ReadSliceInto(node int, ref SliceRef, out []uint16) error {
-	return s.ReadSliceIntoContext(context.Background(), node, ref, out)
-}
-
-// ReadSliceIntoContext is ReadSliceInto bounded by ctx.
+// positioned row reads of ReadSliceRegionIntoContext detect truncation but
+// not bit flips.
 func (s *Store) ReadSliceIntoContext(ctx context.Context, node int, ref SliceRef, out []uint16) error {
 	X, Y := s.Meta.Dims[0], s.Meta.Dims[1]
 	if len(out) != X*Y {
@@ -534,14 +520,10 @@ func (s *Store) ReadSliceIntoContext(ctx context.Context, node int, ref SliceRef
 	return nil
 }
 
-// ReadSliceRegion reads the 2D subsection [x0, x1)×[y0, y1) of a slice using
-// positioned reads — the paper's "RFR filter reads a 2D subsection of each
-// image slice". Row-sized reads keep the seek count at one per row.
-func (s *Store) ReadSliceRegion(node int, ref SliceRef, x0, x1, y0, y1 int) ([]uint16, error) {
-	return s.ReadSliceRegionContext(context.Background(), node, ref, x0, x1, y0, y1)
-}
-
-// ReadSliceRegionContext is ReadSliceRegion bounded by ctx.
+// ReadSliceRegionContext reads the 2D subsection [x0, x1)×[y0, y1) of a
+// slice using positioned reads, bounded by ctx — the paper's "RFR filter
+// reads a 2D subsection of each image slice". Row-sized reads keep the seek
+// count at one per row.
 func (s *Store) ReadSliceRegionContext(ctx context.Context, node int, ref SliceRef, x0, x1, y0, y1 int) ([]uint16, error) {
 	X, Y := s.Meta.Dims[0], s.Meta.Dims[1]
 	if x0 < 0 || x1 > X || y0 < 0 || y1 > Y || x0 >= x1 || y0 >= y1 {
@@ -554,13 +536,8 @@ func (s *Store) ReadSliceRegionContext(ctx context.Context, node int, ref SliceR
 	return out, nil
 }
 
-// ReadSliceRegionInto is ReadSliceRegion decoding into the caller's
-// (x1−x0)·(y1−y0)-value buffer.
-func (s *Store) ReadSliceRegionInto(node int, ref SliceRef, x0, x1, y0, y1 int, out []uint16) error {
-	return s.ReadSliceRegionIntoContext(context.Background(), node, ref, x0, x1, y0, y1, out)
-}
-
-// ReadSliceRegionIntoContext is ReadSliceRegionInto bounded by ctx.
+// ReadSliceRegionIntoContext is ReadSliceRegionContext decoding into the
+// caller's (x1−x0)·(y1−y0)-value buffer.
 func (s *Store) ReadSliceRegionIntoContext(ctx context.Context, node int, ref SliceRef, x0, x1, y0, y1 int, out []uint16) error {
 	X, Y := s.Meta.Dims[0], s.Meta.Dims[1]
 	if x0 < 0 || x1 > X || y0 < 0 || y1 > Y || x0 >= x1 || y0 >= y1 {
@@ -591,14 +568,9 @@ func (s *Store) ReadSliceRegionIntoContext(ctx context.Context, node int, ref Sl
 	return nil
 }
 
-// ReadVolume reads the entire dataset back into memory (the optimization
-// footnote 1 of the paper applies only to datasets that fit in memory; this
-// is also the test oracle).
-func (s *Store) ReadVolume() (*volume.Volume, error) {
-	return s.ReadVolumeContext(context.Background())
-}
-
-// ReadVolumeContext is ReadVolume bounded by ctx.
+// ReadVolumeContext reads the entire dataset back into memory, bounded by
+// ctx (the optimization footnote 1 of the paper applies only to datasets
+// that fit in memory; this is also the test oracle).
 func (s *Store) ReadVolumeContext(ctx context.Context) (*volume.Volume, error) {
 	v := volume.NewVolume(s.Meta.Dims)
 	for node := 0; node < s.Meta.Nodes; node++ {
@@ -622,7 +594,7 @@ func (s *Store) ReadVolumeContext(ctx context.Context) (*volume.Volume, error) {
 func (s *Store) Validate() error {
 	seen := make(map[[2]int]int)
 	for node := 0; node < s.Meta.Nodes; node++ {
-		refs, err := s.NodeIndex(node)
+		refs, err := s.NodeIndexContext(context.TODO(), node)
 		if err != nil {
 			return err
 		}

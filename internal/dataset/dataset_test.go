@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if meta.Min != lo || meta.Max != hi {
 		t.Errorf("meta range = [%d, %d], want [%d, %d]", meta.Min, meta.Max, lo, hi)
 	}
-	back, err := st.ReadVolume()
+	back, err := st.ReadVolumeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDistributionBalanceProperty(t *testing.T) {
 		}
 		counts := make([]int, nodes)
 		for n := 0; n < nodes; n++ {
-			refs, err := st.NodeIndex(n)
+			refs, err := st.NodeIndexContext(context.Background(), n)
 			if err != nil {
 				return false
 			}
@@ -110,7 +111,7 @@ func TestReadSliceRegion(t *testing.T) {
 	z, tt := 1, 1
 	node := OwnerNode(meta, z, tt)
 	ref := SliceRef{File: SliceFileName(z, tt), Z: z, T: tt}
-	got, err := st.ReadSliceRegion(node, ref, 2, 7, 3, 6)
+	got, err := st.ReadSliceRegionContext(context.Background(), node, ref, 2, 7, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestReadSliceRegion(t *testing.T) {
 	}
 	// Bad regions.
 	for _, r := range [][4]int{{-1, 5, 0, 2}, {0, 11, 0, 2}, {3, 3, 0, 2}, {0, 2, 5, 3}} {
-		if _, err := st.ReadSliceRegion(node, ref, r[0], r[1], r[2], r[3]); err == nil {
+		if _, err := st.ReadSliceRegionContext(context.Background(), node, ref, r[0], r[1], r[2], r[3]); err == nil {
 			t.Errorf("bad region %v accepted", r)
 		}
 	}
@@ -160,20 +161,20 @@ func TestWriteErrors(t *testing.T) {
 func TestNodeIndexErrors(t *testing.T) {
 	v := randomVolume(5, [4]int{4, 4, 2, 2})
 	st, _ := writeTemp(t, v, 2)
-	if _, err := st.NodeIndex(-1); err == nil {
+	if _, err := st.NodeIndexContext(context.Background(), -1); err == nil {
 		t.Error("negative node accepted")
 	}
-	if _, err := st.NodeIndex(2); err == nil {
+	if _, err := st.NodeIndexContext(context.Background(), 2); err == nil {
 		t.Error("out-of-range node accepted")
 	}
 	// Corrupt an index line.
 	path := filepath.Join(st.NodeDir(0), "index.txt")
 	os.WriteFile(path, []byte("bad line without numbers\n"), 0o644)
-	if _, err := st.NodeIndex(0); err == nil {
+	if _, err := st.NodeIndexContext(context.Background(), 0); err == nil {
 		t.Error("corrupt index accepted")
 	}
 	os.WriteFile(path, []byte("f.raw 99 0\n"), 0o644)
-	if _, err := st.NodeIndex(0); err == nil {
+	if _, err := st.NodeIndexContext(context.Background(), 0); err == nil {
 		t.Error("out-of-range slice ref accepted")
 	}
 }
@@ -204,7 +205,7 @@ func TestReadSliceSizeCheck(t *testing.T) {
 	// Truncate the slice file.
 	path := filepath.Join(st.NodeDir(0), ref.File)
 	os.WriteFile(path, []byte{1, 2, 3}, 0o644)
-	if _, err := st.ReadSlice(0, ref); err == nil {
+	if _, err := st.ReadSliceContext(context.Background(), 0, ref); err == nil {
 		t.Error("truncated slice accepted")
 	}
 	_ = meta
@@ -238,7 +239,7 @@ func TestDistributions(t *testing.T) {
 		if err := st.Validate(); err != nil {
 			t.Errorf("%v: %v", dist, err)
 		}
-		back, err := st.ReadVolume()
+		back, err := st.ReadVolumeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

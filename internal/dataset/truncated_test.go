@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,12 +28,12 @@ func TestReadSliceRegionTruncatedFile(t *testing.T) {
 	}
 
 	// Rows entirely before the cut still read fine.
-	if _, err := st.ReadSliceRegion(node, ref, 0, 10, 0, 5); err != nil {
+	if _, err := st.ReadSliceRegionContext(context.Background(), node, ref, 0, 10, 0, 5); err != nil {
 		t.Fatalf("rows before the truncation failed: %v", err)
 	}
 	// Any region touching the cut fails loudly, naming file and row.
 	for _, r := range [][4]int{{0, 10, 5, 6}, {0, 10, 0, 8}, {4, 9, 5, 7}, {0, 10, 7, 8}} {
-		_, err := st.ReadSliceRegion(node, ref, r[0], r[1], r[2], r[3])
+		_, err := st.ReadSliceRegionContext(context.Background(), node, ref, r[0], r[1], r[2], r[3])
 		if err == nil {
 			t.Fatalf("region %v of a truncated file read without error", r)
 		}
@@ -45,7 +46,7 @@ func TestReadSliceRegionTruncatedFile(t *testing.T) {
 	}
 
 	// Whole-slice reads of the truncated file fail on the size check.
-	if _, err := st.ReadSlice(node, ref); err == nil {
+	if _, err := st.ReadSliceContext(context.Background(), node, ref); err == nil {
 		t.Error("ReadSlice of a truncated file succeeded")
 	}
 }
@@ -61,11 +62,11 @@ func TestReadSliceIntoMatchesReadSlice(t *testing.T) {
 		for z := 0; z < 2; z++ {
 			node := OwnerNode(meta, z, tt)
 			ref := SliceRef{File: SliceFileName(z, tt), Z: z, T: tt}
-			want, err := st.ReadSlice(node, ref)
+			want, err := st.ReadSliceContext(context.Background(), node, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.ReadSliceInto(node, ref, buf); err != nil {
+			if err := st.ReadSliceIntoContext(context.Background(), node, ref, buf); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
@@ -73,11 +74,11 @@ func TestReadSliceIntoMatchesReadSlice(t *testing.T) {
 					t.Fatalf("slice (z=%d, t=%d) value %d: %d != %d", z, tt, i, buf[i], want[i])
 				}
 			}
-			wantR, err := st.ReadSliceRegion(node, ref, 2, 6, 1, 4)
+			wantR, err := st.ReadSliceRegionContext(context.Background(), node, ref, 2, 6, 1, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.ReadSliceRegionInto(node, ref, 2, 6, 1, 4, regionBuf); err != nil {
+			if err := st.ReadSliceRegionIntoContext(context.Background(), node, ref, 2, 6, 1, 4, regionBuf); err != nil {
 				t.Fatal(err)
 			}
 			for i := range wantR {
@@ -90,10 +91,10 @@ func TestReadSliceIntoMatchesReadSlice(t *testing.T) {
 	// Wrong-size buffers are rejected.
 	node := OwnerNode(meta, 0, 0)
 	ref := SliceRef{File: SliceFileName(0, 0), Z: 0, T: 0}
-	if err := st.ReadSliceInto(node, ref, make([]uint16, 5)); err == nil {
+	if err := st.ReadSliceIntoContext(context.Background(), node, ref, make([]uint16, 5)); err == nil {
 		t.Error("short slice buffer accepted")
 	}
-	if err := st.ReadSliceRegionInto(node, ref, 0, 4, 0, 4, make([]uint16, 5)); err == nil {
+	if err := st.ReadSliceRegionIntoContext(context.Background(), node, ref, 0, 4, 0, 4, make([]uint16, 5)); err == nil {
 		t.Error("short region buffer accepted")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file contains the cache-blocked, direction-batched accumulation
 // kernel — the production hot path for parallel scans. It restructures the
-// per-direction kernels of compute.go/sliding.go around three ideas the CUDA
+// per-direction kernels of compute.go around three ideas the CUDA
 // GLCM literature gets its wins from, all of which translate to Go:
 //
 //   - Direction batching: all canonical directions accumulate into one
@@ -40,14 +40,14 @@ import (
 //     256-entry LUT filled once per kernel, so the inner loop performs no
 //     multiplies. The LUT is exact (mul[v] = v·G), so out-of-range gray
 //     levels still panic on the scratch bounds check exactly like the
-//     legacy kernels.
+//     reference kernels.
 //
 // The inner loops are written flat over precomputed neighbor strides with
 // slice headers re-sliced to a common length so the compiler's bounds-check
 // elimination fires for the voxel and LUT loads (verified with
 // -gcflags=-d=ssa/check_bce; the scratch store keeps its check because its
-// index is data-dependent — same as the legacy kernels). All counts are
-// integers, so every snapshot is bit-identical to the legacy kernels'
+// index is data-dependent — same as the reference kernels). All counts are
+// integers, so every snapshot is bit-identical to the reference kernels'
 // output; the sequential workers=1 path never uses this file and remains
 // the verification oracle.
 
@@ -72,8 +72,6 @@ type Blocked struct {
 	pairs  uint64   // pairs currently accumulated (matrix Total is 2·pairs)
 
 	strides [4]int
-	shape   [4]int
-	block   int // x-tile width for accumulation runs; 0 = whole row
 	plans   []dirPlan
 
 	// The compiled programs, replayed as flat loops: the x slide removes
@@ -122,23 +120,20 @@ func (k *Blocked) Pairs() uint64 { return k.pairs }
 
 // Plan prepares the kernel for scans of ROIs with the given shape on a grid
 // with the given strides, accumulating the given directions, sliding by
-// stride voxels along x and stepping by one row along y. block bounds the x
-// extent of each accumulation run (0 disables tiling); it only matters for
-// ROIs whose rows outgrow L1.
+// stride voxels along x and stepping by one row along y.
 //
 // Plan reports whether the geometry is supported: the grid must be laid out
 // x-fastest (strides[0] == 1, which every volume/chunk view in this system
 // is), the flat voxel offsets must fit the programs' int32 entries, and the
 // direction set must be no larger than the canonical families (oversized
-// sets gain nothing from batching). When it returns false the caller falls
-// back to the legacy kernels, which accept anything.
-func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block int) bool {
-	if strides[0] != 1 || stride < 1 || block < 0 || len(dirs) > 64 {
+// sets gain nothing from batching). When it returns false the caller
+// recomputes each ROI with the dense reference kernels (ComputeFull /
+// ComputeSparseScratch), which accept anything.
+func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride int) bool {
+	if strides[0] != 1 || stride < 1 || len(dirs) > 64 {
 		return false
 	}
 	k.strides = strides
-	k.shape = shape
-	k.block = block
 	k.plans = k.plans[:0]
 	sy, sz, st := strides[1], strides[2], strides[3]
 	for _, d := range dirs {
@@ -175,6 +170,24 @@ func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride, block in
 		pr.p.compile(k.pk)
 	}
 	return true
+}
+
+// slabX returns the half-open ranges (relative to the ROI origin) of the
+// departing and entering slabs when a pair box spanning [lo0, hi0) along
+// one axis is shifted by stride: the old box is [lo0, hi0), the new box is
+// [lo0+stride, hi0+stride), so [lo0, min(hi0, lo0+stride)) departs and
+// [max(hi0, lo0+stride), hi0+stride) enters. The two slabs always have
+// equal width, so the matrix total is invariant across a move.
+func slabX(lo0, hi0, stride int) (subLo, subHi, addLo, addHi int) {
+	subLo, subHi = lo0, lo0+stride
+	if subHi > hi0 {
+		subHi = hi0
+	}
+	addLo, addHi = hi0, hi0+stride
+	if addLo < lo0+stride {
+		addLo = lo0 + stride
+	}
+	return
 }
 
 // gather appends every planned direction's (anchor, neighbor) offset pairs,
@@ -255,37 +268,12 @@ func (k *Blocked) Reset() {
 	k.pairs = 0
 }
 
-// addRun accumulates n consecutive pairs — voxels data[i0:i0+n] against
-// neighbors data[j0:j0+n] — into the scratch, one write per pair,
-// alternating banks. The slice headers are cut to a common length so the
-// voxel and LUT loads are bounds-check free; the scratch store keeps its
-// check (data-dependent index), which is also what makes an out-of-range
-// gray level panic. Only the tiled accumulation path pays the call — the
-// untiled path inlines the same loop.
-func (k *Blocked) addRun(data []uint8, i0, j0, n int) {
-	av := data[i0 : i0+n]
-	cv := data[j0 : j0+n]
-	cv = cv[:len(av)]
-	gg := k.g * k.g
-	c0, c1 := k.counts[:gg], k.counts[gg:]
-	mul := k.mul[:256]
-	for len(av) >= 2 && len(cv) >= 2 {
-		c0[int(mul[av[0]])+int(cv[0])]++
-		c1[int(mul[av[1]])+int(cv[1])]++
-		av, cv = av[2:], cv[2:]
-	}
-	if len(av) >= 1 && len(cv) >= 1 {
-		c0[int(mul[av[0]])+int(cv[0])]++
-	}
-}
-
 // Accumulate rasters the ROI at flat offset base once, accumulating every
 // planned direction's pairs: per direction, a branch-free interval sweep
 // over its valid rows, each row one flat x run against the neighbor stride.
 // The ROI rows stay L1-resident across the per-direction sweeps.
 func (k *Blocked) Accumulate(data []uint8, base int) {
 	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
-	block := k.block
 	gg := k.g * k.g
 	c0, c1 := k.counts[:gg], k.counts[gg:]
 	mul := k.mul[:256]
@@ -301,22 +289,16 @@ func (k *Blocked) Accumulate(data []uint8, base int) {
 				rz := rt + z*sz
 				for y := p.lo[1]; y < p.hi[1]; y++ {
 					i0 := rz + y*sy + lo0
-					if block > 0 {
-						for x0 := 0; x0 < w; x0 += block {
-							k.addRun(data, i0+x0, i0+x0+off, min(block, w-x0))
-						}
-					} else {
-						av := data[i0 : i0+w]
-						cv := data[i0+off : i0+off+w]
-						cv = cv[:len(av)]
-						for len(av) >= 2 && len(cv) >= 2 {
-							c0[int(mul[av[0]])+int(cv[0])]++
-							c1[int(mul[av[1]])+int(cv[1])]++
-							av, cv = av[2:], cv[2:]
-						}
-						if len(av) >= 1 && len(cv) >= 1 {
-							c0[int(mul[av[0]])+int(cv[0])]++
-						}
+					av := data[i0 : i0+w]
+					cv := data[i0+off : i0+off+w]
+					cv = cv[:len(av)]
+					for len(av) >= 2 && len(cv) >= 2 {
+						c0[int(mul[av[0]])+int(cv[0])]++
+						c1[int(mul[av[1]])+int(cv[1])]++
+						av, cv = av[2:], cv[2:]
+					}
+					if len(av) >= 1 && len(cv) >= 1 {
+						c0[int(mul[av[0]])+int(cv[0])]++
 					}
 					rows++
 				}

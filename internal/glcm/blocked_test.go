@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+func randData(rng *rand.Rand, dims [4]int, g int) []uint8 {
+	n := dims[0] * dims[1] * dims[2] * dims[3]
+	d := make([]uint8, n)
+	for i := range d {
+		d[i] = uint8(rng.Intn(g))
+	}
+	return d
+}
+
 // oracleFull computes the ROI's dense matrix with the sequential reference
 // kernel — the bit-exactness baseline for every blocked-kernel test.
 func oracleFull(data []uint8, strides [4]int, origin, shape [4]int, dirs []Direction, g int) *Full {
@@ -17,13 +26,13 @@ func oracleFull(data []uint8, strides [4]int, origin, shape [4]int, dirs []Direc
 
 // checkBlockedRow plans a blocked kernel and walks a full raster row of ROI
 // origins (accumulate at the row start, slide afterwards), checking every
-// position's dense and sparse snapshots against the legacy oracles.
-func checkBlockedRow(t *testing.T, tag string, data []uint8, dims [4]int, origin, shape [4]int, dirs []Direction, g, stride, block int) {
+// position's dense and sparse snapshots against the reference oracles.
+func checkBlockedRow(t *testing.T, tag string, data []uint8, dims [4]int, origin, shape [4]int, dirs []Direction, g, stride int) {
 	t.Helper()
 	strides := Strides(dims)
 	k := GetBlocked(g)
 	defer PutBlocked(k)
-	if !k.Plan(strides, shape, dirs, stride, block) {
+	if !k.Plan(strides, shape, dirs, stride) {
 		t.Fatalf("%s: Plan rejected a supported geometry", tag)
 	}
 	full := NewFull(g)
@@ -98,8 +107,7 @@ func TestBlockedMatchesOracleProperty(t *testing.T) {
 			rng.Intn(dims[3] - shape[3] + 1),
 		}
 		stride := 1 + rng.Intn(2)
-		block := rng.Intn(3) * 2 // 0 (untiled), 2 or 4
-		checkBlockedRow(t, "property", data, dims, origin, shape, dirs, g, stride, block)
+		checkBlockedRow(t, "property", data, dims, origin, shape, dirs, g, stride)
 	}
 }
 
@@ -137,9 +145,8 @@ func TestBlockedStepRowProperty(t *testing.T) {
 			rng.Intn(dims[2] - shape[2] + 1),
 			rng.Intn(dims[3] - shape[3] + 1),
 		}
-		block := rng.Intn(3) * 2
 		k, ref := NewBlocked(g), NewBlocked(g)
-		if !k.Plan(strides, shape, dirs, 1, block) || !ref.Plan(strides, shape, dirs, 1, block) {
+		if !k.Plan(strides, shape, dirs, 1) || !ref.Plan(strides, shape, dirs, 1) {
 			t.Fatalf("iter %d: Plan rejected a supported geometry", iter)
 		}
 		flat := func(o [4]int) int {
@@ -175,30 +182,27 @@ func TestBlockedPaperGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dims := [4]int{24, 20, 4, 4}
 	data := randData(rng, dims, 32)
-	checkBlockedRow(t, "paper", data, dims, [4]int{0, 1, 0, 1}, [4]int{16, 16, 3, 3}, Directions(4, 1), 32, 1, 0)
+	checkBlockedRow(t, "paper", data, dims, [4]int{0, 1, 0, 1}, [4]int{16, 16, 3, 3}, Directions(4, 1), 32, 1)
 }
 
 // TestBlockedPlanFallback covers the geometries Plan must refuse: y-fastest
 // strides, a non-positive stride and direction sets that overflow the 64-bit
-// row masks. Refusal is what routes the scan back to the legacy kernels.
+// row masks. Refusal is what routes the scan to the dense recompute.
 func TestBlockedPlanFallback(t *testing.T) {
 	k := NewBlocked(16)
 	dims := [4]int{8, 8, 2, 2}
 	shape := [4]int{4, 4, 2, 2}
-	if k.Plan([4]int{8, 1, 64, 128}, shape, Directions(2, 1), 1, 0) {
+	if k.Plan([4]int{8, 1, 64, 128}, shape, Directions(2, 1), 1) {
 		t.Error("Plan accepted a grid that is not x-fastest")
 	}
-	if k.Plan(Strides(dims), shape, Directions(2, 1), 0, 0) {
+	if k.Plan(Strides(dims), shape, Directions(2, 1), 0) {
 		t.Error("Plan accepted stride 0")
 	}
-	if k.Plan(Strides(dims), shape, Directions(2, 1), 1, -1) {
-		t.Error("Plan accepted a negative block")
-	}
 	wide := AllDirections(4, 1) // 80 directions > 64 mask bits
-	if k.Plan(Strides(dims), shape, wide, 1, 0) {
+	if k.Plan(Strides(dims), shape, wide, 1) {
 		t.Error("Plan accepted a direction set wider than the row masks")
 	}
-	if !k.Plan(Strides(dims), shape, Directions(4, 1), 1, 0) {
+	if !k.Plan(Strides(dims), shape, Directions(4, 1), 1) {
 		t.Error("Plan rejected the canonical 40-direction set")
 	}
 }
@@ -213,7 +217,7 @@ func TestBlockedPoolReuse(t *testing.T) {
 	for i := range data {
 		data[i] = uint8(i % 16)
 	}
-	if !k.Plan(Strides(dims), [4]int{3, 2, 1, 1}, Directions(2, 1), 1, 0) {
+	if !k.Plan(Strides(dims), [4]int{3, 2, 1, 1}, Directions(2, 1), 1) {
 		t.Fatal("Plan failed")
 	}
 	k.Accumulate(data, 0)
@@ -239,7 +243,7 @@ func TestBlockedPoolReuse(t *testing.T) {
 	PutBlocked(k3)
 }
 
-// TestBuilderMaxKeyG256 pins the G=256 edge of the legacy sparse builder
+// TestBuilderMaxKeyG256 pins the G=256 edge of the reference sparse builder
 // used as the comparison oracle: the packed uint16 touched key for the
 // (255, 255) cell is exactly 65535, the type's maximum value.
 func TestBuilderMaxKeyG256(t *testing.T) {
@@ -300,6 +304,6 @@ func FuzzBlockedKernel(f *testing.F) {
 			binary.LittleEndian.PutUint64(buf[:], h)
 			data[i] = uint8(int(buf[0]) % g)
 		}
-		checkBlockedRow(t, "fuzz", data, dims, [4]int{}, shape, dirs, g, 1, int(raw[0])%3)
+		checkBlockedRow(t, "fuzz", data, dims, [4]int{}, shape, dirs, g, 1)
 	})
 }

@@ -637,7 +637,7 @@ func Sequential(store *dataset.Store, cfg *Config) (map[features.Feature]*volume
 	if err := cfg.Validate(store.Meta.Dims); err != nil {
 		return nil, err
 	}
-	v, err := store.ReadVolume()
+	v, err := store.ReadVolumeContext(context.TODO())
 	if err != nil {
 		return nil, err
 	}
