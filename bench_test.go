@@ -350,6 +350,47 @@ func BenchmarkBlockedSparseRow(b *testing.B) {
 	reportPairs(b, glcm.PairCount(roi, dirs)*uint64(nx))
 }
 
+// BenchmarkBlockedPlane measures one whole (z,t) plane of raster rows
+// scanned through the resident row, as the parallel scan runs it at the
+// paper geometry: the first row accumulated, slid and stored, every later
+// row stepped from the row above position by position (StepSlot), with a
+// merging SnapshotSlotFull at every position. The grid is the 256-voxel
+// row length of BenchmarkBlockedRow, so pairs/s (logical pairs) compares
+// the two directly: the gap is the resident row's win over sliding every
+// row.
+func BenchmarkBlockedPlane(b *testing.B) {
+	grid := phantomGrid(b, [4]int{256, 32, 8, 8}, 32)
+	dirs := glcm.Directions(4, 1)
+	roi := [4]int{16, 16, 3, 3}
+	nx, ny := grid.Dims[0]-roi[0]+1, grid.Dims[1]-roi[1]+1
+	sy := grid.Strides()[1]
+	k := glcm.NewBlocked(32)
+	if !k.Plan(grid.Strides(), roi, dirs, 1) || !k.Resident() {
+		b.Fatal("paper geometry should plan a resident row")
+	}
+	m := glcm.NewFull(32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Reset()
+		k.Accumulate(grid.Data, 0)
+		k.Store(0)
+		k.SnapshotSlotFull(0, m)
+		for x := 1; x < nx; x++ {
+			k.Slide(grid.Data, x-1)
+			k.Store(x)
+			k.SnapshotSlotFull(x, m)
+		}
+		for y := 1; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				k.StepSlot(grid.Data, (y-1)*sy+x, x)
+				k.SnapshotSlotFull(x, m)
+			}
+		}
+	}
+	reportPairs(b, glcm.PairCount(roi, dirs)*uint64(nx*ny))
+}
+
 // benchAnalyzeRegion returns an AnalyzeRegion benchmark pinned to one
 // intra-chunk worker count (shared by BenchmarkAnalyzeRegionWorkers and the
 // BENCH_kernels.json writer).

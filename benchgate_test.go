@@ -85,9 +85,10 @@ func TestKernelBenchGate(t *testing.T) {
 
 // TestKernelBenchBaselineShape pins the committed BENCH_kernels.json
 // contract the gate and docs rely on: parseable, kernel-tagged rows for the
-// dense reference and the blocked kernel, and a blocked row at least 8x
+// dense reference and the blocked kernel, a blocked row at least 8x
 // ComputeFull — the blocked kernel's headline claim, recorded on the
-// generating host.
+// generating host — and a resident-row plane at least 1.5x the slid row,
+// measured in the same run.
 func TestKernelBenchBaselineShape(t *testing.T) {
 	raw, err := os.ReadFile("BENCH_kernels.json")
 	if err != nil {
@@ -122,6 +123,7 @@ func TestKernelBenchBaselineShape(t *testing.T) {
 	}
 	for name, kernel := range map[string]string{
 		"ComputeFull": "reference", "BlockedRow": "blocked", "BlockedSparseRow": "blocked",
+		"BlockedPlane": "blocked", "AnalyzeRegionPaperChunk": "blocked",
 	} {
 		if rows[name] != kernel {
 			t.Errorf("row %s: kernel %q, want %q", name, rows[name], kernel)
@@ -129,6 +131,9 @@ func TestKernelBenchBaselineShape(t *testing.T) {
 	}
 	if s := doc.Speedups["blocked_row_vs_compute_full"]; s < 8 {
 		t.Errorf("blocked_row_vs_compute_full = %.2f, want >= 8 (regenerate BENCH_kernels.json)", s)
+	}
+	if s := doc.Speedups["blocked_plane_vs_blocked_row"]; s < 1.5 {
+		t.Errorf("blocked_plane_vs_blocked_row = %.2f, want >= 1.5 (regenerate BENCH_kernels.json)", s)
 	}
 	if fmt.Sprintf("%v", doc.Host["cpus"]) == "0" {
 		t.Error("host cpus metadata is zero")

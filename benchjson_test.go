@@ -36,6 +36,8 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 		run("ComputeSparse", "reference", BenchmarkComputeSparse),
 		run("BlockedRow", "blocked", BenchmarkBlockedRow),
 		run("BlockedSparseRow", "blocked", BenchmarkBlockedSparseRow),
+		run("BlockedPlane", "blocked", BenchmarkBlockedPlane),
+		run("AnalyzeRegionPaperChunk", "blocked", BenchmarkAnalyzeRegionPaperChunk),
 	}
 	byWorkers := map[int]entry{}
 	for _, w := range []int{1, 2, 4, 8} {
@@ -69,6 +71,7 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 		Benchmarks: entries,
 		Speedups: map[string]float64{
 			"blocked_row_vs_compute_full":   entries[2].PairsPerSec / entries[0].PairsPerSec,
+			"blocked_plane_vs_blocked_row":  entries[4].PairsPerSec / entries[2].PairsPerSec,
 			"analyze_region_workers_2_vs_1": byWorkers[2].PairsPerSec / byWorkers[1].PairsPerSec,
 			"analyze_region_workers_4_vs_1": byWorkers[4].PairsPerSec / byWorkers[1].PairsPerSec,
 			"analyze_region_workers_8_vs_1": byWorkers[8].PairsPerSec / byWorkers[1].PairsPerSec,
@@ -78,7 +81,9 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 			"the kernel field distinguishes reference rows (per-direction dense recompute of compute.go) from blocked rows (direction-batched kernel of blocked.go)",
 			"workers=1 is the sequential reference kernel: full recompute per ROI, no goroutines, no window reuse",
 			"workers>1 stripe raster rows across a worker pool running the blocked kernel",
-			"BlockedRow/BlockedSparseRow pay a merging snapshot per position, so the comparison with ComputeFull is honest",
+			"BlockedRow/BlockedSparseRow/BlockedPlane pay a merging snapshot per position, so the comparison with ComputeFull is honest",
+			"BlockedPlane scans a whole (z,t) plane through the resident row (later rows stepped from the row above, not slid); blocked_plane_vs_blocked_row is measured in the same run",
+			"AnalyzeRegionPaperChunk is one 48x48x6x6 paper-geometry chunk through the whole parallel path (2 workers, features included)",
 			"on a single-CPU host (gomaxprocs above) the workers>1 gain comes from kernel efficiency, not hardware parallelism; multi-core hosts stack both",
 			"outputs are bit-identical at every worker count (internal/core TestParallelMatchesSequential)",
 		},

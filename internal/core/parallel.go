@@ -17,11 +17,13 @@ import (
 // owns its own scratch matrix, sparse builder and feature calculator, so the
 // hot loop performs no allocation and shares no mutable state. Workers run
 // the blocked kernel (glcm.Blocked): only the first ROI of each worker's
-// (z,t) plane is accumulated from scratch; the first ROI of every further
-// row is stepped one row along y from the previous row's, and the ROIs
-// along a row are slid along x. Geometries the blocked planner rejects fall
-// back to a dense recompute of every ROI (glcm.ComputeFull /
-// glcm.ComputeSparseScratch).
+// (z,t) plane is accumulated from scratch, and the rest of that plane's
+// first raster row is slid along x. Every further row is built from the
+// row above: where the planner keeps a resident row, each position's
+// histogram is stepped one row along y (glcm.Blocked.StepSlot); otherwise
+// the row's first ROI is stepped and the rest slid along x again.
+// Geometries the blocked planner rejects fall back to a dense recompute of
+// every ROI (glcm.ComputeFull / glcm.ComputeSparseScratch).
 //
 // Workers == 1 never enters this file's machinery: it runs the untouched
 // sequential kernel (ScanRegion), which remains the verification oracle.
@@ -181,35 +183,11 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 			p[0] = s.lo[0] + i
 			rel := [4]int{p[0] - s.regionLo[0], p[1] - s.regionLo[1], p[2] - s.regionLo[2], p[3] - s.regionLo[3]}
 			if s.blocked != nil {
-				// Blocked kernel: one batched pass over all directions at the
-				// first ROI of the worker's (z,t) plane, a row step from the
-				// previous row's first ROI at every other row start, an x
-				// slide elsewhere; then a merging snapshot into the visitor's
-				// matrix. The planner guarantees strides[0] == 1, so the flat
-				// origin of the previous window is base-1, and that of the
-				// previous row's first window base-strides[1].
+				// The planner guarantees strides[0] == 1, so the flat origin
+				// of the previous window is base-1, and that of the same
+				// window one row up base-strides[1].
 				base := rel[0] + rel[1]*s.strides[1] + rel[2]*s.strides[2] + rel[3]*s.strides[3]
-				switch {
-				case i > 0:
-					s.blocked.Slide(s.data, base-1)
-				case r > r0 && r%s.sy != 0:
-					s.blocked.StepRow(s.data, base-s.strides[1])
-				default:
-					s.blocked.Reset()
-					s.blocked.Accumulate(s.data, base)
-					s.blocked.Mark()
-				}
-				if s.sparse != nil {
-					s.blocked.SnapshotSparse(s.sparse)
-					if stats != nil {
-						stats.StoredEntries += int64(s.sparse.NonZero())
-					}
-				} else {
-					s.blocked.SnapshotFull(s.full)
-					if stats != nil {
-						stats.StoredEntries += int64(s.full.NonZero())
-					}
-				}
+				s.blockedAt(r > r0 && r%s.sy != 0, i, base, stats)
 			} else if s.sparse != nil {
 				s.builder.Clear()
 				glcm.ComputeSparseScratch(s.data, s.strides, rel, s.cfg.ROI, s.dirs, s.builder)
@@ -234,6 +212,53 @@ func (s *rowScanner) scan(r0, r1 int, stats *Stats, visit ROIVisitor) error {
 		}
 	}
 	return nil
+}
+
+// blockedAt brings the blocked kernel to the ROI at x position i of the
+// current raster row, whose flat origin is base, and snapshots it into the
+// visitor's matrix. step says the row above is resident in this worker: it
+// is false on a (z,t) plane's first row and on the first row of a worker
+// block that starts mid-plane, which accumulate at the row start and slide
+// along x, storing every position (or, without a resident row, just the
+// first). On later rows a resident kernel steps every slot one row along
+// y; otherwise slot 0 is stepped, loaded and slid along x as before.
+func (s *rowScanner) blockedAt(step bool, i, base int, stats *Stats) {
+	k := s.blocked
+	resident := k.Resident()
+	switch {
+	case step && (resident || i == 0):
+		k.StepSlot(s.data, base-s.strides[1], i)
+		if !resident {
+			k.Load()
+		}
+	case i > 0:
+		k.Slide(s.data, base-1)
+	default:
+		k.Reset()
+		k.Accumulate(s.data, base)
+	}
+	if !step && (resident || i == 0) {
+		k.Store(i)
+	}
+	if s.sparse != nil {
+		if resident {
+			k.SnapshotSlotSparse(i, s.sparse)
+		} else {
+			k.SnapshotSparse(s.sparse)
+		}
+		if stats != nil {
+			stats.StoredEntries += int64(s.sparse.NonZero())
+		}
+		return
+	}
+	if resident {
+		k.SnapshotSlotFull(i, s.full)
+	} else {
+		k.SnapshotFull(s.full)
+	}
+	if stats != nil {
+		stats.StoredEntries += int64(s.full.NonZero())
+	}
 }
 
 // mergeStats folds per-worker counters into stats (nil-safe).

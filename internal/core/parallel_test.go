@@ -34,15 +34,31 @@ func randConfig(rng *rand.Rand, dims [4]int) Config {
 		Representation: Representation(rng.Intn(3)),
 		Features:       randFeatures(rng),
 	}
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
 		cfg.Directions = glcm.AxisDirections(4, 1)
 	case 1:
 		// 80 directions: more than glcm.Blocked.Plan accepts, so the
 		// parallel scan falls back to the dense recompute per ROI.
 		cfg.Directions = glcm.AllDirections(4, 1)
+	case 2:
+		// 40 4D directions over few gray levels and an ROI at least 6
+		// wide in x and y: Plan keeps a resident row for this geometry
+		// (see residentDraw).
+		cfg.NDim = 4
+		cfg.GrayLevels = 2 + rng.Intn(7)
+		cfg.ROI[0] = 6 + rng.Intn(dims[0]-7)
+		cfg.ROI[1] = 6 + rng.Intn(max(1, dims[1]-8))
 	}
 	return cfg
+}
+
+// residentDraw reports whether the parallel scan of cfg over a region of
+// the given dims runs the blocked kernel with a resident row, so the
+// property tests can require that their draws cover it.
+func residentDraw(dims [4]int, cfg *Config) bool {
+	k := glcm.NewBlocked(cfg.GrayLevels)
+	return k.Plan(volume.Strides(dims), cfg.ROI, cfg.DirectionSet(), 1) && k.Resident()
 }
 
 // randFeatures draws a feature set that selects a different part of the
@@ -77,6 +93,7 @@ func statsArg(stats *Stats, run int) *Stats {
 // without stats collection.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	resident := 0
 	for iter := 0; iter < 25; iter++ {
 		cfg := Config{}
 		var region *volume.Region
@@ -90,6 +107,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		for i := range region.Data {
 			region.Data[i] %= uint8(cfg.GrayLevels)
+		}
+		if residentDraw(dims, &cfg) {
+			resident++
 		}
 		outDims, err := volume.OutputDims(dims, cfg.ROI)
 		if err != nil {
@@ -128,6 +148,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+	if resident < 2 {
+		t.Fatalf("%d draws ran the resident row, want at least 2", resident)
+	}
 }
 
 // TestBatchesMatchSequential checks that the batch builders produce
@@ -137,6 +160,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // sequential AnalyzeRegion for the drawn feature set.
 func TestBatchesMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	resident := 0
 	for iter := 0; iter < 15; iter++ {
 		cfg := Config{}
 		var region *volume.Region
@@ -150,6 +174,9 @@ func TestBatchesMatchSequential(t *testing.T) {
 		}
 		for i := range region.Data {
 			region.Data[i] %= uint8(cfg.GrayLevels)
+		}
+		if residentDraw(dims, &cfg) {
+			resident++
 		}
 		outDims, err := volume.OutputDims(dims, cfg.ROI)
 		if err != nil {
@@ -229,6 +256,9 @@ func TestBatchesMatchSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+	if resident < 2 {
+		t.Fatalf("%d draws ran the resident row, want at least 2", resident)
 	}
 }
 

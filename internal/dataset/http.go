@@ -199,10 +199,12 @@ func (b *HTTPBackend) do(ctx context.Context, method, u string, rangeHdr string,
 			} else if d > maxServerBackoff {
 				d = maxServerBackoff
 			}
-			if dl, ok := ctx.Deadline(); ok {
-				if rem := time.Until(dl); d > rem {
-					d = rem // never sleep past the attempt deadline
-				}
+			if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
+				// The wait reaches the deadline: no attempt can follow it,
+				// so wait the deadline out and surface it, never racing a
+				// timer against ctx.Done() into a doomed attempt.
+				<-ctx.Done()
+				return nil, ctx.Err()
 			}
 			select {
 			case <-ctx.Done():

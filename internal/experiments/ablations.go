@@ -329,9 +329,9 @@ func chunkEdges(sc Scale) []int {
 // Kernel sweeps the intra-chunk worker count of the texture kernel (the
 // `Workers` knob of core.Config): ROI raster rows are striped across the
 // workers, each running the blocked kernel, which reuses the
-// overlapping-window work by sliding along x and stepping along y
-// (workers > 1 only; workers = 1 is the sequential full-recompute
-// reference). The measurement runs the real
+// overlapping-window work by sliding along x and stepping along y, a
+// whole resident raster row at a time where that pays (workers > 1 only;
+// workers = 1 is the sequential full-recompute reference). The measurement runs the real
 // local-engine pipeline over a one-chunk in-memory sample and reads the
 // HMP compute span from the run report — this is the one figure probing
 // the in-process kernel rather than the simulated cluster.

@@ -16,9 +16,15 @@ import (
 //     validity along x/y/z/t is a contiguous interval precomputed at plan
 //     time, so the accumulation loop is a branch-free interval sweep per
 //     direction over an L1-resident ROI, and the incremental moves — the
-//     slide along x, and the step from one raster row's first ROI to the
-//     next's along y — are compiled into flat pair programs (precomputed
-//     offset arrays) with no per-row dispatch at all.
+//     slide along x, the step of a row's first ROI along y, and the
+//     corners that carry that step along the row — are compiled into flat
+//     pair programs (precomputed offset arrays) with no per-row dispatch at
+//     all.
+//
+//   - A resident raster row: where Plan's cost rule says it pays, one
+//     merged histogram per x position of the current raster row is kept,
+//     and each next row is built from the row above by an exact y-step
+//     delta per position (StepSlot) instead of being slid along x again.
 //
 //   - Privatized asymmetric scratch: pairs are accumulated into a private
 //     dense histogram with a single write per pair — scratch[a·G+c] counts
@@ -59,12 +65,13 @@ type dirPlan struct {
 }
 
 // Blocked is the blocked kernel's reusable state: the asymmetric scratch
-// histogram, the multiplication LUT, the per-scan direction plan, and the
-// compiled slide program. A Blocked is built for one gray-level count and
-// planned for one (strides, ROI shape, direction set, stride) geometry;
-// Accumulate/Slide/Snapshot may then be called for any number of ROIs.
-// Values are pooled across chunks via GetBlocked/PutBlocked. Not safe for
-// concurrent use — each worker owns one.
+// histogram, the multiplication LUT, the per-scan direction plan, the
+// compiled pair programs and the resident row. A Blocked is built for one
+// gray-level count and planned for one (strides, ROI shape, direction set,
+// stride) geometry; Accumulate/Slide/Store/StepSlot and the snapshots may
+// then be called for any number of ROIs. Values are pooled across chunks
+// via GetBlocked/PutBlocked. Not safe for concurrent use — each worker owns
+// one.
 type Blocked struct {
 	g      int
 	counts []uint32 // 2 banks of G×G asymmetric scratch: counts[b*g*g+a*g+c] pairs observed as (a, c)
@@ -72,22 +79,31 @@ type Blocked struct {
 	pairs  uint64   // pairs currently accumulated (matrix Total is 2·pairs)
 
 	strides [4]int
+	stride  int // x slide stride
 	plans   []dirPlan
 
 	// The compiled programs, replayed as flat loops: the x slide removes
 	// the departing x-slab's pairs and adds the entering one's; the row
-	// step does the same for the y-slab one row down. The slabs are tiny
-	// next to the ROI, so loop-nest and dispatch overhead would otherwise
-	// dominate them. Built once per Plan.
-	slideSub, slideAdd pairProgram
-	stepSub, stepAdd   pairProgram
-	pk                 []int64 // plan-time pair gathering scratch
+	// step does the same for the y-slab one row down; the corners are the
+	// four one-column, one-row intersections of those slabs, which turn the
+	// row step's delta at one x position into the next one's (StepSlot).
+	// The slabs are tiny next to the ROI, so loop-nest and dispatch
+	// overhead would otherwise dominate them. Built once per Plan.
+	slideSub, slideAdd   pairProgram
+	stepSub, stepAdd     pairProgram
+	cornerSub, cornerAdd pairProgram
+	pk                   []int64 // plan-time pair gathering scratch
 
-	// The marked scratch (2 banks, like counts): the pairs of the ROI at
-	// the start of the current raster row, which StepRow advances to the
-	// next row's start while the working scratch slides along x.
-	mark      []uint32
-	markPairs uint64
+	// The resident row: slots[x·G² : (x+1)·G²] holds the merged (single
+	// bank) scratch of the ROI at x position x of the current raster row.
+	// With resident unset — Plan's cost rule found the dense per-position
+	// add dearer than the slide it saves — only slot 0 is kept: it marks
+	// the row start the next row steps from, and the row is slid along x.
+	// delta (2 banks, like counts) holds the y-step delta of the slot
+	// stepped last.
+	resident bool
+	slots    []uint32
+	delta    []uint32
 }
 
 // pairProgram is a compiled pair list grouped by anchor voxel: group gi
@@ -105,7 +121,7 @@ func NewBlocked(g int) *Blocked {
 	if g < 1 || g > 256 {
 		panic("glcm: gray levels must be in [1, 256]")
 	}
-	k := &Blocked{g: g, counts: make([]uint32, 2*g*g), mark: make([]uint32, 2*g*g), mul: make([]uint16, 256)}
+	k := &Blocked{g: g, counts: make([]uint32, 2*g*g), delta: make([]uint32, 2*g*g), mul: make([]uint16, 256)}
 	for v := range k.mul {
 		k.mul[v] = uint16(v * g)
 	}
@@ -121,6 +137,12 @@ func (k *Blocked) Pairs() uint64 { return k.pairs }
 // Plan prepares the kernel for scans of ROIs with the given shape on a grid
 // with the given strides, accumulating the given directions, sliding by
 // stride voxels along x and stepping by one row along y.
+//
+// Plan also decides, once per geometry and from counted work, whether the
+// scan keeps a resident row (see Resident): a resident position costs the
+// corner programs' pairs plus one dense G² add, a slid one the slide
+// program's pairs, so the row is kept when G² < slide pairs − corner
+// pairs.
 //
 // Plan reports whether the geometry is supported: the grid must be laid out
 // x-fastest (strides[0] == 1, which every volume/chunk view in this system
@@ -150,26 +172,47 @@ func (k *Blocked) Plan(strides, shape [4]int, dirs []Direction, stride int) bool
 		}
 		k.plans = append(k.plans, dirPlan{off: off, lo: lo, hi: hi})
 	}
+	k.stride = stride
 	// The x slide's slabs are stride columns of each direction's anchor
-	// box, the row step's one row; slabX does the arithmetic on either axis.
+	// box, the row step's one row; the corners are where a column and a row
+	// slab cross. slabX does the arithmetic on either axis.
 	for _, pr := range []struct {
-		p        *pairProgram
-		axis     int
-		stride   int
-		entering bool
+		p   *pairProgram
+		sel [][2]int // (x, y) slab selectors, one gather each
 	}{
-		{&k.slideSub, 0, stride, false},
-		{&k.slideAdd, 0, stride, true},
-		{&k.stepSub, 1, 1, false},
-		{&k.stepAdd, 1, 1, true},
+		{&k.slideSub, [][2]int{{departing, whole}}},
+		{&k.slideAdd, [][2]int{{entering, whole}}},
+		{&k.stepSub, [][2]int{{whole, departing}}},
+		{&k.stepAdd, [][2]int{{whole, entering}}},
+		{&k.cornerSub, [][2]int{{departing, entering}, {entering, departing}}},
+		{&k.cornerAdd, [][2]int{{entering, entering}, {departing, departing}}},
 	} {
-		k.pk = k.gather(k.pk[:0], pr.axis, pr.stride, pr.entering)
+		k.pk = k.pk[:0]
+		for _, sel := range pr.sel {
+			k.pk = k.gather(k.pk, sel[0], sel[1], stride)
+		}
 		if len(k.pk) > math.MaxInt32 {
 			return false
 		}
 		pr.p.compile(k.pk)
 	}
+	slide := len(k.slideSub.nbr) + len(k.slideAdd.nbr)
+	corner := len(k.cornerSub.nbr) + len(k.cornerAdd.nbr)
+	k.setResident(k.g*k.g < slide-corner, shape[0])
 	return true
+}
+
+// setResident records whether scans keep a resident row for ROIs roiX
+// voxels wide, and sizes the slots for it: one per position of a grid row
+// (strides[1] voxels, the grid being x-fastest), or slot 0 alone.
+func (k *Blocked) setResident(resident bool, roiX int) {
+	k.resident = resident
+	n := 1
+	if resident {
+		n = max(1, (k.strides[1]-roiX)/k.stride+1)
+	}
+	n *= k.g * k.g
+	k.slots = slices.Grow(k.slots[:0], n)[:n]
 }
 
 // slabX returns the half-open ranges (relative to the ROI origin) of the
@@ -190,19 +233,34 @@ func slabX(lo0, hi0, stride int) (subLo, subHi, addLo, addHi int) {
 	return
 }
 
+// Slab selectors for gather, per axis: the direction's whole anchor
+// interval, or the departing or entering slab of a move along that axis.
+const (
+	whole = iota
+	departing
+	entering
+)
+
 // gather appends every planned direction's (anchor, neighbor) offset pairs,
-// packed anchor<<32|neighbor, whose anchor lies in the direction's
-// departing — or, with entering, its entering — slab for a move of stride
-// voxels along axis (0 = x, 1 = y).
-func (k *Blocked) gather(pk []int64, axis, stride int, entering bool) []int64 {
+// packed anchor<<32|neighbor, whose anchor lies in the direction's anchor
+// box cut to the selected slab along x (for a move of stride voxels) and
+// along y (for a move of one row).
+func (k *Blocked) gather(pk []int64, xsel, ysel, stride int) []int64 {
 	sy, sz, st := k.strides[1], k.strides[2], k.strides[3]
 	for _, p := range k.plans {
 		lo, hi := p.lo, p.hi
-		subLo, subHi, addLo, addHi := slabX(lo[axis], hi[axis], stride)
-		if entering {
-			lo[axis], hi[axis] = addLo, addHi
-		} else {
-			lo[axis], hi[axis] = subLo, subHi
+		for axis, sel := range [2]int{xsel, ysel} {
+			step := stride
+			if axis == 1 {
+				step = 1
+			}
+			subLo, subHi, addLo, addHi := slabX(lo[axis], hi[axis], step)
+			switch sel {
+			case departing:
+				lo[axis], hi[axis] = subLo, subHi
+			case entering:
+				lo[axis], hi[axis] = addLo, addHi
+			}
 		}
 		for t := lo[3]; t < hi[3]; t++ {
 			for z := lo[2]; z < hi[2]; z++ {
@@ -321,27 +379,65 @@ func (k *Blocked) Slide(data []uint8, base int) {
 	k.slideAdd.apply(k.counts, k.g, k.mul, dd, 1)
 }
 
-// Mark records the scratch as the row anchor that StepRow advances from:
-// call it after accumulating the first ROI of a raster row.
-func (k *Blocked) Mark() {
-	copy(k.mark, k.counts)
-	k.markPairs = k.pairs
+// Resident reports whether Plan chose the resident row for this geometry.
+// With it, a scan Stores every position of a plane's first raster row and
+// then StepSlots every position of each later row; without it, only slot
+// 0 is stored and stepped, and the working scratch is reloaded from it and
+// slid along x.
+func (k *Blocked) Resident() bool { return k.resident }
+
+// Store folds the working scratch — which must hold the pairs of the ROI at
+// x position x of the current raster row — into slot x.
+func (k *Blocked) Store(x int) {
+	gg := k.g * k.g
+	s := k.slots[x*gg : (x+1)*gg]
+	c0, c1 := k.counts[:gg], k.counts[gg:2*gg]
+	c0, c1 = c0[:len(s)], c1[:len(s)]
+	for i := range s {
+		s[i] = c0[i] + c1[i]
+	}
 }
 
-// StepRow advances the marked scratch — which must hold the pairs of the
-// ROI at flat offset base — by one row along y, by replaying the compiled
-// row-step program (the departing and entering y-slabs have equal size, so
-// the pair total is invariant), and loads the result as the working
-// scratch, still marked for the next step. The working scratch may have
-// slid anywhere in between. Exact integer update: the result is
-// bit-identical to Reset + Accumulate at base + strides[1], at the cost of
-// two slabs instead of the whole ROI.
-func (k *Blocked) StepRow(data []uint8, base int) {
-	dd := data[base:]
-	k.stepSub.apply(k.mark, k.g, k.mul, dd, ^uint32(0))
-	k.stepAdd.apply(k.mark, k.g, k.mul, dd, 1)
-	copy(k.counts, k.mark)
-	k.pairs = k.markPairs
+// Load replaces the working scratch with slot 0, the row start a scan
+// without a resident row steps, so that sliding can continue from it.
+func (k *Blocked) Load() {
+	gg := k.g * k.g
+	copy(k.counts[:gg], k.slots[:gg])
+	clear(k.counts[gg:])
+}
+
+// StepSlot advances slot x — which must hold the pairs of the ROI at flat
+// offset base — by one row along y. Exact integer update: the result is
+// bit-identical to Reset + Accumulate + Store at base + strides[1].
+//
+// With Dy(x) = H(x, y+1) − H(x, y) the y-step delta at x position x,
+// Dy(0) is the row-step program replayed into a zeroed delta scratch, and
+// Dy(x) = Dy(x−1) + corners(x−1): by inclusion–exclusion on each
+// direction's anchor box, the pairs anchored where the entering x column
+// meets the entering y row, or the departing column the departing row, are
+// added, and those where a departing slab meets an entering one removed.
+// So for x > 0, slot x−1 must have been stepped immediately before, and
+// the positions of a row are stepped in order. The delta is then added to
+// the slot, one dense G² pass. The pair total is invariant.
+func (k *Blocked) StepSlot(data []uint8, base, x int) {
+	if x == 0 {
+		clear(k.delta)
+		dd := data[base:]
+		k.stepSub.apply(k.delta, k.g, k.mul, dd, ^uint32(0))
+		k.stepAdd.apply(k.delta, k.g, k.mul, dd, 1)
+	} else {
+		// The corners are relative to the previous position's origin.
+		dd := data[base-k.stride:]
+		k.cornerSub.apply(k.delta, k.g, k.mul, dd, ^uint32(0))
+		k.cornerAdd.apply(k.delta, k.g, k.mul, dd, 1)
+	}
+	gg := k.g * k.g
+	s := k.slots[x*gg : (x+1)*gg]
+	d0, d1 := k.delta[:gg], k.delta[gg:2*gg]
+	d0, d1 = d0[:len(s)], d1[:len(s)]
+	for i := range s {
+		s[i] += d0[i] + d1[i]
+	}
 }
 
 // SnapshotFull merges the asymmetric scratch into m, replacing its contents
@@ -398,9 +494,54 @@ func (k *Blocked) SnapshotSparse(s *Sparse) {
 	s.Total = 2 * k.pairs
 }
 
+// SnapshotSlotFull is SnapshotFull reading slot x instead of the working
+// scratch: cell (i, j) = slot(i, j) + slot(j, i), the diagonal doubled.
+func (k *Blocked) SnapshotSlotFull(x int, m *Full) {
+	if m.G != k.g {
+		panic("glcm: snapshot into a matrix of different gray-level count")
+	}
+	g := k.g
+	gg := g * g
+	c := k.slots[x*gg : (x+1)*gg]
+	out := m.Counts
+	for i, ri := 0, 0; i < g; i, ri = i+1, ri+g {
+		r := c[ri : ri+g]
+		rowO := out[ri : ri+g]
+		rowO[i] = 2 * r[i]
+		for j, ji := i+1, ri+g+i; j < g; j, ji = j+1, ji+g {
+			v := r[j] + c[ji]
+			rowO[j] = v
+			out[ji] = v
+		}
+	}
+	m.Total = 2 * k.pairs
+}
+
+// SnapshotSlotSparse is SnapshotSparse reading slot x instead of the
+// working scratch.
+func (k *Blocked) SnapshotSlotSparse(x int, s *Sparse) {
+	g := k.g
+	gg := g * g
+	s.Reset()
+	s.G = g
+	c := k.slots[x*gg : (x+1)*gg]
+	for i, ri := 0, 0; i < g; i, ri = i+1, ri+g {
+		r := c[ri : ri+g]
+		if v := r[i]; v != 0 {
+			s.Entries = append(s.Entries, Entry{I: uint8(i), J: uint8(i), Count: 2 * v})
+		}
+		for j, ji := i+1, ri+g+i; j < g; j, ji = j+1, ji+g {
+			if v := r[j] + c[ji]; v != 0 {
+				s.Entries = append(s.Entries, Entry{I: uint8(i), J: uint8(j), Count: v})
+			}
+		}
+	}
+	s.Total = 2 * k.pairs
+}
+
 // blockedPool recycles kernels — and with them the large G×G scratch
-// histograms and compiled slide programs — across chunks and workers
-// instead of reallocating per scan.
+// histograms, resident rows and compiled pair programs — across chunks and
+// workers instead of reallocating per scan.
 var blockedPool sync.Pool
 
 // GetBlocked returns a pooled kernel for g gray levels (allocating one when

@@ -2,6 +2,7 @@ package glcm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -111,14 +112,76 @@ func TestBlockedMatchesOracleProperty(t *testing.T) {
 	}
 }
 
-// TestBlockedStepRowProperty drives the row step over random geometries —
-// the gray-level counts and direction families of the oracle property test,
-// random ROI shapes including y-extent 1 (where the departing and entering
-// y-slabs are the whole ROI) — down every row of the grid. Between steps the
-// working scratch slides along x, as in a scan, so each step must start
-// from the mark. Every step must leave exactly the counts of Reset +
-// Accumulate at the new row.
-func TestBlockedStepRowProperty(t *testing.T) {
+// checkResidentPlane walks every raster row of the (z,t) plane at origin
+// the way the parallel scan does — the first row accumulated, slid and
+// stored, every later row stepped from the row above (all slots with a
+// resident row, otherwise slot 0, then reloaded and slid) — and checks
+// every position's dense and sparse snapshots against ComputeFull and
+// ComputeSparseScratch.
+func checkResidentPlane(t *testing.T, tag string, k *Blocked, data []uint8, dims, origin, shape [4]int, dirs []Direction) {
+	t.Helper()
+	g, stride := k.G(), k.stride
+	strides := Strides(dims)
+	flat := func(o [4]int) int {
+		return o[0]*strides[0] + o[1]*strides[1] + o[2]*strides[2] + o[3]*strides[3]
+	}
+	full, want := NewFull(g), NewFull(g)
+	sparse, wantSparse := NewSparse(g), NewSparse(g)
+	builder := NewSparseBuilder(g)
+	for y := 0; origin[1]+shape[1] <= dims[1]; y, origin[1] = y+1, origin[1]+1 {
+		o := origin
+		for x := 0; o[0]+shape[0] <= dims[0]; x, o[0] = x+1, o[0]+stride {
+			base := flat(o)
+			switch {
+			case y > 0 && (k.resident || x == 0):
+				k.StepSlot(data, base-strides[1], x)
+				if !k.resident {
+					k.Load()
+				}
+			case x > 0:
+				k.Slide(data, base-stride)
+			default:
+				k.Reset()
+				k.Accumulate(data, base)
+			}
+			if y == 0 && (k.resident || x == 0) {
+				k.Store(x)
+			}
+			if k.resident {
+				k.SnapshotSlotFull(x, full)
+				k.SnapshotSlotSparse(x, sparse)
+			} else {
+				k.SnapshotFull(full)
+				k.SnapshotSparse(sparse)
+			}
+			want.Reset()
+			ComputeFull(data, strides, o, shape, dirs, want)
+			if full.Total != want.Total || !reflect.DeepEqual(full.Counts, want.Counts) {
+				t.Fatalf("%s: dense snapshot at %v (resident %v) diverged from ComputeFull (total %d vs %d)", tag, o, k.resident, full.Total, want.Total)
+			}
+			if err := sparse.Validate(); err != nil {
+				t.Fatalf("%s: sparse snapshot at %v invalid: %v", tag, o, err)
+			}
+			builder.Clear()
+			ComputeSparseScratch(data, strides, o, shape, dirs, builder)
+			builder.Flush(wantSparse)
+			if sparse.Total != wantSparse.Total || !reflect.DeepEqual(sparse.Entries, wantSparse.Entries) {
+				t.Fatalf("%s: sparse snapshot at %v (resident %v) diverged from ComputeSparseScratch", tag, o, k.resident)
+			}
+		}
+	}
+}
+
+// TestBlockedResidentRowProperty drives the row-to-row step over random
+// geometries — every gray-level count the system supports, direction
+// families of 2–4 dims at distances 1–2, random ROI shapes including
+// y-extent 1 (where the departing and entering y-slabs are the whole
+// anchor box), x or y extent 2, a single position per row, and slide
+// strides 1 and 2 — down whole planes. Every geometry is walked twice,
+// with the resident row forced on (also where Plan's cost rule refuses
+// it) and forced off (slot 0 stepped and slid), and every position must
+// match the reference kernels bit for bit.
+func TestBlockedResidentRowProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	gs := []int{8, 16, 32, 256}
 	for iter := 0; iter < 80; iter++ {
@@ -132,46 +195,57 @@ func TestBlockedStepRowProperty(t *testing.T) {
 			1 + rng.Intn(dims[2]),
 			1 + rng.Intn(dims[3]),
 		}
-		if iter%5 == 0 {
+		switch iter % 5 {
+		case 0:
 			shape[1] = 1
+		case 1:
+			shape[iter/5%2] = 2
+		case 2:
+			shape[0] = dims[0] // one position per row
 		}
 		if PairCount(shape, dirs) == 0 {
 			continue
 		}
-		strides := Strides(dims)
-		origin := [4]int{
-			rng.Intn(dims[0] - shape[0] + 1),
-			0,
-			rng.Intn(dims[2] - shape[2] + 1),
-			rng.Intn(dims[3] - shape[3] + 1),
-		}
-		k, ref := NewBlocked(g), NewBlocked(g)
-		if !k.Plan(strides, shape, dirs, 1) || !ref.Plan(strides, shape, dirs, 1) {
+		origin := [4]int{0, 0, rng.Intn(dims[2] - shape[2] + 1), rng.Intn(dims[3] - shape[3] + 1)}
+		stride := 1 + rng.Intn(2)
+		k := NewBlocked(g)
+		if !k.Plan(Strides(dims), shape, dirs, stride) {
 			t.Fatalf("iter %d: Plan rejected a supported geometry", iter)
 		}
-		flat := func(o [4]int) int {
-			return o[0]*strides[0] + o[1]*strides[1] + o[2]*strides[2] + o[3]*strides[3]
+		for _, resident := range []bool{true, false} {
+			k.setResident(resident, shape[0])
+			checkResidentPlane(t, fmt.Sprintf("iter %d (ROI %v, G=%d, stride %d)", iter, shape, g, stride), k, data, dims, origin, shape, dirs)
 		}
-		got, want := NewFull(g), NewFull(g)
-		k.Accumulate(data, flat(origin))
-		k.Mark()
-		for ; origin[1]+1+shape[1] <= dims[1]; origin[1]++ {
-			for x := origin; x[0] < origin[0]+2 && x[0]+1+shape[0] <= dims[0]; x[0]++ {
-				k.Slide(data, flat(x))
-			}
-			k.StepRow(data, flat(origin))
-			next := origin
-			next[1]++
-			ref.Reset()
-			ref.Accumulate(data, flat(next))
-			k.SnapshotFull(got)
-			ref.SnapshotFull(want)
-			if got.Total != want.Total || !reflect.DeepEqual(got.Counts, want.Counts) {
-				t.Fatalf("iter %d: row step to %v (ROI %v, G=%d) diverged from Accumulate", iter, next, shape, g)
-			}
-			if oracle := oracleFull(data, strides, next, shape, dirs, g); !reflect.DeepEqual(got.Counts, oracle.Counts) {
-				t.Fatalf("iter %d: row step to %v diverged from ComputeFull", iter, next)
-			}
+	}
+}
+
+// TestBlockedResidentCostRule pins Plan's choice at the benchmark
+// geometries: the paper's (ROI 16×16×3×3, 40 directions) keeps a resident
+// row at G=32, where one position's corners and dense add cost 864 pairs
+// and 1,024 cells against a 6,618-pair slide; the cheap 2D analysis (ROI
+// 4×4×2×2, 4 directions) does not at G=8 or G=16, where the dense add
+// costs more than the slide it saves.
+func TestBlockedResidentCostRule(t *testing.T) {
+	for _, tc := range []struct {
+		shape         [4]int
+		ndim, g       int
+		slide, corner int
+		resident      bool
+	}{
+		{[4]int{16, 16, 3, 3}, 4, 32, 6618, 864, true},
+		{[4]int{4, 4, 2, 2}, 2, 8, 104, 64, false},
+		{[4]int{4, 4, 2, 2}, 2, 16, 104, 64, false},
+	} {
+		dims := [4]int{tc.shape[0] + 8, tc.shape[1] + 8, tc.shape[2] + 2, tc.shape[3] + 2}
+		k := NewBlocked(tc.g)
+		if !k.Plan(Strides(dims), tc.shape, Directions(tc.ndim, 1), 1) {
+			t.Fatalf("%v: Plan rejected a supported geometry", tc.shape)
+		}
+		slide := len(k.slideSub.nbr) + len(k.slideAdd.nbr)
+		corner := len(k.cornerSub.nbr) + len(k.cornerAdd.nbr)
+		if slide != tc.slide || corner != tc.corner || k.Resident() != tc.resident {
+			t.Errorf("ROI %v G=%d: slide %d, corner %d pairs, resident %v; want %d, %d, %v",
+				tc.shape, tc.g, slide, corner, k.Resident(), tc.slide, tc.corner, tc.resident)
 		}
 	}
 }
